@@ -1,5 +1,5 @@
-//! Quantized-inference benchmark: the fused transform served from f32,
-//! f16 and i16 tap banks, on the paper's adaptive serving shape.
+//! Quantized-inference benchmark: the fused transform served from an f32
+//! and an f16 tap bank, on the paper's adaptive serving shape.
 //!
 //! ```text
 //! cargo run --release -p tcsl-bench --bin bench_quant          # full
@@ -9,10 +9,12 @@
 //! Per case and precision leg the bench reports ns/series, modeled bytes
 //! streamed (taps + windows — the traffic the half-width bank halves on
 //! the tap side), allocator pressure, the max |quantized − f32| transform
-//! error, and whether every shapelet's best-match window (argmin) agrees
-//! with the f32 leg. Full mode asserts both half-width legs are ≥ 1.5×
-//! faster than f32 at T=4096 with exact argmin parity; the error column is
-//! bounded by the same analytic budget the proptests enforce.
+//! error, whether every shapelet's best-match window (argmin) agrees with
+//! the f32 leg, and the `dot.dispatch.*` counts of one transform — which
+//! kernel tier the leg's time was spent in. The report's `host` record
+//! names the tiers the host CPU offers. Full mode asserts the f16 leg is
+//! ≥ 1.5× faster than f32 at T=4096 with exact argmin parity; the error
+//! column is bounded by the same analytic budget the proptests enforce.
 //!
 //! Prints a one-line JSON summary per case and writes the full report to
 //! `BENCH_quant.json` (see EXPERIMENTS.md for the format).
@@ -66,24 +68,39 @@ struct Leg {
     bytes_streamed_per_series: u64,
     max_transform_error: f64,
     argmin_agreement: bool,
+    /// `{"dot.dispatch.<tier>": dots}` of one transform.
+    dispatch: String,
 }
 
 /// Modeled bytes of tap + window traffic per fused transform call: every
-/// window re-reads all `K` tap rows at the leg's element width, and is
-/// itself read once per 4-shapelet block (f32 window data in every leg —
-/// only the tap stream changes width).
+/// window re-reads all `K` tap rows at the group's tap width (an f16 bank
+/// keeps f32 taps on short spans), and is itself read once per 4-shapelet
+/// block (f32 window data in every leg — only the tap stream changes
+/// width).
 fn modeled_bytes_streamed(bank: &ShapeletBank, t: usize) -> u64 {
-    let tap_elt = match bank.precision() {
-        BankPrecision::Full => 4,
-        BankPrecision::F16 | BankPrecision::I16 => 2,
-    };
     let mut total = 0u64;
-    for g in bank.groups() {
+    for (g, pre) in bank.groups().iter().zip(bank.precomputed()) {
         let width = bank.d * g.len;
         let n = tcsl_tensor::window::count_windows(t.max(g.len), g.len, g.stride) as u64;
-        total += n * (g.k() * width * tap_elt) as u64 + n * (g.k().div_ceil(4) * width) as u64 * 4;
+        total += n * (g.k() * width * pre.bytes_per_tap()) as u64
+            + n * (g.k().div_ceil(4) * width) as u64 * 4;
     }
     total
+}
+
+/// The `dot.dispatch.*` counters one traced `run` increments, as a JSON
+/// object keyed by counter name.
+fn dispatch_counts(run: impl FnOnce()) -> String {
+    tcsl_obs::counters::reset();
+    tcsl_obs::set_enabled(true);
+    run();
+    tcsl_obs::set_enabled(false);
+    let tiers: Vec<String> = tcsl_obs::counters::counter_snapshot()
+        .into_iter()
+        .filter(|(name, _)| name.starts_with("dot.dispatch."))
+        .map(|(name, n)| format!("\"{name}\":{n}"))
+        .collect();
+    format!("{{{}}}", tiers.join(","))
 }
 
 /// Argmin parity: every (group, shapelet) localizes to the same window in
@@ -108,7 +125,10 @@ fn profile_leg(
         std::hint::black_box(transform_series(bank, series).expect("bench series are well-formed"));
     };
     let ((), allocs) = alloc_profile(&mut run);
-    let feats = transform_series(bank, series).expect("bench series are well-formed");
+    let mut feats = Vec::new();
+    let dispatch = dispatch_counts(|| {
+        feats = transform_series(bank, series).expect("bench series are well-formed");
+    });
     let max_err = feats
         .iter()
         .zip(full_feats)
@@ -121,12 +141,13 @@ fn profile_leg(
         bytes_streamed_per_series: modeled_bytes_streamed(bank, t),
         max_transform_error: max_err,
         argmin_agreement: argmins_agree(reference, bank, series),
+        dispatch,
     }
 }
 
 fn leg_json(leg: &Leg, f32_secs: f64) -> String {
     format!(
-        "{{\"precision\":\"{}\",\"ns_per_series\":{:.0},\"series_per_sec\":{:.2},\"peak_alloc_mb\":{:.4},\"bytes_streamed_per_series\":{},\"max_transform_error\":{:.3e},\"argmin_agreement\":{},\"speedup_vs_f32\":{:.2}}}",
+        "{{\"precision\":\"{}\",\"ns_per_series\":{:.0},\"series_per_sec\":{:.2},\"peak_alloc_mb\":{:.4},\"bytes_streamed_per_series\":{},\"max_transform_error\":{:.3e},\"argmin_agreement\":{},\"speedup_vs_f32\":{:.2},\"dispatch\":{}}}",
         leg.precision.name(),
         leg.secs_per_series * 1e9,
         1.0 / leg.secs_per_series,
@@ -134,7 +155,8 @@ fn leg_json(leg: &Leg, f32_secs: f64) -> String {
         leg.bytes_streamed_per_series,
         leg.max_transform_error,
         leg.argmin_agreement,
-        f32_secs / leg.secs_per_series
+        f32_secs / leg.secs_per_series,
+        leg.dispatch
     )
 }
 
@@ -143,8 +165,8 @@ struct Case {
     t: usize,
     d: usize,
     cfg: ShapeletConfig,
-    /// Full-mode acceptance case: both half-width legs must be ≥ 1.5×
-    /// with exact argmin parity.
+    /// Full-mode acceptance case: the f16 leg must be ≥ 1.5× with exact
+    /// argmin parity.
     gated: bool,
 }
 
@@ -217,15 +239,11 @@ fn main() {
         let series = TimeSeries::new(Tensor::randn([case.d, case.t], &mut rng));
         let full_feats = transform_series(&bank, &series).expect("bench series are well-formed");
 
-        let mut banks = vec![bank.clone()];
-        for scheme in [
-            tcsl_tensor::quant::QuantScheme::F16,
-            tcsl_tensor::quant::QuantScheme::I16,
-        ] {
-            let mut qb = bank.clone();
-            qb.quantize(scheme).expect("bench taps are finite");
-            banks.push(qb);
-        }
+        let mut f16_bank = bank.clone();
+        f16_bank
+            .quantize(tcsl_tensor::quant::QuantScheme::F16)
+            .expect("bench taps are finite");
+        let banks = [bank.clone(), f16_bank];
         let secs = time_legs(
             banks.len(),
             |leg| {
@@ -284,8 +302,9 @@ fn main() {
     }
 
     let report = format!(
-        "{{\"bench\":\"quant\",\"schema_version\":{},\"unit_note\":\"fused transform from f32 vs half-width tap banks; bytes_streamed_per_series = modeled tap+window traffic; max_transform_error vs the f32 leg; argmin_agreement = every shapelet localizes to the same window\",\"cases\":[\n  {}\n]}}\n",
+        "{{\"bench\":\"quant\",\"schema_version\":{},\"host\":{},\"unit_note\":\"fused transform from an f32 vs an f16 tap bank; bytes_streamed_per_series = modeled tap+window traffic (an f16 bank keeps f32 taps on spans under 64 steps); max_transform_error vs the f32 leg; argmin_agreement = every shapelet localizes to the same window; dispatch = dot.dispatch.* counts of one transform, i.e. the kernel tiers the leg ran on\",\"cases\":[\n  {}\n]}}\n",
         tcsl_bench::contract::SCHEMA_VERSION,
+        tcsl_bench::contract::host_record(),
         entries.join(",\n  ")
     );
     tcsl_bench::contract::write_report(
@@ -299,6 +318,11 @@ fn main() {
             "cases[].legs[].max_transform_error",
             "cases[].legs[].speedup_vs_f32",
             "cases[].legs[].argmin_agreement=true",
+            "cases[].legs[].dispatch",
+            "host.cores",
+            "host.avx2_fma",
+            "host.f16c",
+            "host.avx512f",
         ],
     );
 }

@@ -68,6 +68,24 @@ pub fn write_report(path: &str, bench: &str, body: &str, required: &[&str]) {
     eprintln!("wrote {path}");
 }
 
+/// The host record a report carries as its `"host"` field: core count and
+/// the SIMD tiers the dot kernels can dispatch to on the host CPU, e.g.
+/// `{"cores":2,"avx2_fma":true,"f16c":true,"avx512f":true}`. Together with
+/// a leg's `dot.dispatch.*` counts it names the tier a timing was measured
+/// on, so rows from different hosts are not compared as like for like.
+pub fn host_record() -> String {
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    #[cfg(target_arch = "x86_64")]
+    let [avx2_fma, f16c, avx512f] = [
+        std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma"),
+        std::arch::is_x86_feature_detected!("f16c"),
+        std::arch::is_x86_feature_detected!("avx512f"),
+    ];
+    #[cfg(not(target_arch = "x86_64"))]
+    let [avx2_fma, f16c, avx512f] = [false; 3];
+    format!("{{\"cores\":{cores},\"avx2_fma\":{avx2_fma},\"f16c\":{f16c},\"avx512f\":{avx512f}}}")
+}
+
 /// Walks one dotted-path spec. A `seg[]` segment descends into array field
 /// `seg` and succeeds if *any* element satisfies the remaining path.
 fn path_satisfied(v: &JsonValue, segs: &[&str], want_true: bool) -> bool {
@@ -127,6 +145,15 @@ mod tests {
         // A `true` in one heterogeneous case satisfies the contract even
         // when sibling cases lack the field entirely.
         validate_report("demo", GOOD, &["cases[].flag=true"]).unwrap();
+    }
+
+    #[test]
+    fn host_record_names_every_tier() {
+        let host = json::parse(&host_record()).unwrap();
+        assert!(host.get("cores").and_then(JsonValue::as_u64).is_some());
+        for tier in ["avx2_fma", "f16c", "avx512f"] {
+            assert!(matches!(host.get(tier), Some(JsonValue::Bool(_))), "{tier}");
+        }
     }
 
     #[test]

@@ -33,8 +33,8 @@ pub struct CslConfig {
     /// the fused custom-op kernel (default) or the eager-graph oracle
     /// (parity tests and old-vs-new benchmarking).
     pub diff_path: DiffPath,
-    /// Inference precision of the trained bank: with [`BankPrecision::F16`]
-    /// or [`BankPrecision::I16`], pre-training finishes with an automatic
+    /// Inference precision of the trained bank: with [`BankPrecision::F16`],
+    /// pre-training finishes with an automatic
     /// [`tcsl_shapelet::ShapeletBank::quantize`] step, so the returned model
     /// serves (and saves) at half tap width. Training itself always runs in
     /// f32 — only the post-training bank is affected.

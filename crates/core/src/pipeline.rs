@@ -61,10 +61,9 @@ impl TimeCsl {
         let report = pretrain(&mut bank, &normed, csl_cfg);
         if let Some(scheme) = csl_cfg.bank_precision.scheme() {
             // Freshly trained taps are finite (the trainer optimizes a
-            // finite loss under a validated config) and i16's per-row scale
-            // absorbs any range, so the only quantize failure reachable
-            // from here would be an f16 overflow from wildly diverged
-            // training — a trainer bug, not a request error.
+            // finite loss under a validated config), so the only quantize
+            // failure reachable from here would be an f16 overflow from
+            // wildly diverged training — a trainer bug, not a request error.
             #[allow(clippy::disallowed_methods)]
             bank.quantize(scheme)
                 .expect("post-training quantization of freshly trained taps");
@@ -179,9 +178,8 @@ impl TimeCsl {
     /// header carrying the input normalization and the bank precision,
     /// followed by the bank text (always the f32 view — for a quantized
     /// bank that is the *dequantized* view, so the stored weights are
-    /// exactly what the kernels compute with) and, for i16, a `scales`
-    /// section persisting the per-shapelet quantization scales. Re-loading
-    /// therefore reconstructs the identical half-width taps, and transforms
+    /// exactly what the kernels compute with). Re-loading therefore
+    /// reconstructs the identical half-width taps, and transforms
     /// round-trip bit-identically at every precision.
     pub fn save(&self, path: impl AsRef<std::path::Path>) -> TcslResult<()> {
         tcsl_error::write_file(path, self.to_text())
@@ -189,37 +187,21 @@ impl TimeCsl {
 
     /// The versioned model text format written by [`Self::save`].
     pub fn to_text(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = format!(
+        format!(
             "tcsl-model v3 normalization={} precision={}\n{}",
             self.normalization.name(),
             self.bank.precision().name(),
             self.bank.to_text()
-        );
-        // i16 is the one precision whose dequantized f32 view does not
-        // determine the stored taps (the scale is a free parameter), so its
-        // scales are part of the format.
-        if self.bank.precision() == BankPrecision::I16 {
-            if let Some(qps) = self.bank.quantized() {
-                let _ = writeln!(out, "scales groups={}", qps.len());
-                for qp in qps {
-                    let row: Vec<String> = qp
-                        .scales()
-                        .unwrap_or(&[])
-                        .iter()
-                        .map(|s| s.to_string())
-                        .collect();
-                    let _ = writeln!(out, "{}", row.join(" "));
-                }
-            }
-        }
-        out
+        )
     }
 
     /// Loads a model saved by [`Self::save`]. Accepts the current
     /// `tcsl-model v3` format, v2 files (no precision token — they load as
     /// f32) and PR-1-era bare-bank files (which carry no normalization and
-    /// load under the z-score default they were written with).
+    /// load under the z-score default they were written with). A v3 file
+    /// saved at the retired `precision=i16` loads as an f32 model of its
+    /// stored weights, which are already the dequantized i16 values; its
+    /// trailing `scales` section is ignored.
     pub fn load(path: impl AsRef<std::path::Path>) -> TcslResult<TimeCsl> {
         use tcsl_error::ResultExt as _;
         let text = tcsl_error::read_to_string(&path)?;
@@ -257,10 +239,13 @@ impl TimeCsl {
                 })?);
             }
             if let Some(v) = tok.strip_prefix("precision=") {
-                precision =
-                    Some(BankPrecision::parse(v).ok_or_else(|| {
-                        TcslError::model_format("precision in {f32, f16, i16}", v)
-                    })?);
+                precision = Some(match v {
+                    // The retired i16 scheme saved its dequantized weights,
+                    // so such a file serves them at f32.
+                    "i16" => BankPrecision::Full,
+                    _ => BankPrecision::parse(v)
+                        .ok_or_else(|| TcslError::model_format("precision in {f32, f16}", v))?,
+                });
             }
         }
         let precision = match version.as_deref() {
@@ -281,70 +266,17 @@ impl TimeCsl {
                 ))
             }
         };
-        // The bank parser reads exactly its own section; a trailing scales
-        // section passes through untouched.
+        // The bank parser reads exactly its own section, so an i16 file's
+        // trailing scales section passes through untouched.
         let mut bank = ShapeletBank::from_text(rest)?;
-        match precision {
-            BankPrecision::Full => {}
-            // The stored weights are the dequantized view; f16
-            // re-quantization of dequantized values is exact, so this
-            // reconstructs the identical half-width taps.
-            BankPrecision::F16 => bank.quantize(QuantScheme::F16)?,
-            // i16 needs the persisted scales: re-quantizing the dequantized
-            // view under the original scale is exact, while a re-derived
-            // scale would drift.
-            BankPrecision::I16 => {
-                let scales = parse_scales_section(rest, bank.groups().len())?;
-                bank.quantize_with_scales(&scales)?;
-            }
+        // The stored weights are the dequantized view; re-quantizing
+        // dequantized values is exact, so this reconstructs the identical
+        // half-width taps.
+        if let Some(scheme) = precision.scheme() {
+            bank.quantize(scheme)?;
         }
         Ok(TimeCsl::from_bank_normalized(bank, normalization))
     }
-}
-
-/// Parses the `scales` section of a `precision=i16` model: a
-/// `scales groups=<n>` line after the bank section, then one
-/// whitespace-separated row of per-shapelet scales per group.
-fn parse_scales_section(bank_text: &str, n_groups: usize) -> TcslResult<Vec<Vec<f32>>> {
-    let mut lines = bank_text.lines().enumerate();
-    let header = loop {
-        match lines.next() {
-            Some((_, l)) if l.starts_with("scales ") => break l,
-            Some(_) => continue,
-            None => {
-                return Err(TcslError::model_format(
-                    "scales section for precision=i16",
-                    "end of file",
-                ))
-            }
-        }
-    };
-    let declared = header
-        .split_whitespace()
-        .find_map(|tok| tok.strip_prefix("groups="))
-        .ok_or_else(|| TcslError::model_format("groups=<n> in scales header", header))?;
-    if declared != n_groups.to_string() {
-        return Err(TcslError::model_format(
-            format!("scales for {n_groups} groups"),
-            format!("groups={declared}"),
-        ));
-    }
-    let mut out = Vec::with_capacity(n_groups);
-    for gi in 0..n_groups {
-        let (lineno, line) = lines.next().ok_or_else(|| {
-            TcslError::model_format(format!("scale row for group {gi}"), "end of file")
-        })?;
-        let row = line
-            .split_whitespace()
-            .map(|tok| {
-                tok.parse::<f32>().map_err(|e| {
-                    TcslError::parse("tcsl-model", lineno + 1, format!("bad scale '{tok}': {e}"))
-                })
-            })
-            .collect::<TcslResult<Vec<f32>>>()?;
-        out.push(row);
-    }
-    Ok(out)
 }
 
 #[cfg(test)]
@@ -506,8 +438,7 @@ mod tests {
             class("tcsl-model v2 normalization=zscore"),
             ErrorClass::ModelFormat
         );
-        // v3 structural damage: missing/unknown precision, and an i16 model
-        // without its scales section.
+        // v3 structural damage: missing/unknown precision.
         assert_eq!(
             class("tcsl-model v3 normalization=zscore\ntcsl-bank v1 d=1 groups=0\n"),
             ErrorClass::ModelFormat
@@ -516,33 +447,51 @@ mod tests {
             class("tcsl-model v3 normalization=zscore precision=f8\n"),
             ErrorClass::ModelFormat
         );
-        assert_eq!(
-            class(
-                "tcsl-model v3 normalization=zscore precision=i16\n\
-                 tcsl-bank v1 d=1 groups=1\ngroup len=2 stride=1 measure=euc k=1\n0.5 0.25\n"
-            ),
-            ErrorClass::ModelFormat
+    }
+
+    #[test]
+    fn legacy_i16_models_load_as_f32_models_of_their_weights() {
+        // A model saved at the retired i16 precision: the bank section holds
+        // the dequantized weights (q · scale per shapelet row), followed by
+        // the per-shapelet scales section.
+        let bank = "tcsl-bank v1 d=1 groups=2\n\
+            group len=4 stride=1 measure=euc k=2\n\
+            0.500015259 -0.250007629 0.125003815 -1\n\
+            0.309999704 0.720000029 -0.20000124 0.0499893203\n\
+            group len=4 stride=1 measure=cos k=2\n\
+            -0.899999976 0.399996936 0.330011904 0.100006104\n\
+            0.600003064 -0.610000014 0.0199938957 -0.300001532\n";
+        let legacy = format!(
+            "tcsl-model v3 normalization=minmax precision=i16\n{bank}scales groups=2\n\
+             3.0518509e-5 2.1973328e-5\n2.7466658e-5 1.8616291e-5\n"
         );
-        // Wrong group count and a non-numeric value in the scales section.
-        let with_scales = |scales: &str| {
-            format!(
-                "tcsl-model v3 normalization=zscore precision=i16\n\
-                 tcsl-bank v1 d=1 groups=1\ngroup len=2 stride=1 measure=euc k=1\n0.5 0.25\n{scales}"
-            )
-        };
+        let loaded = TimeCsl::from_text(&legacy).unwrap();
+        assert_eq!(loaded.precision(), BankPrecision::Full);
+        assert_eq!(loaded.normalization(), Normalization::MinMax);
+        let f32_model = TimeCsl::from_text(&format!(
+            "tcsl-model v3 normalization=minmax precision=f32\n{bank}"
+        ))
+        .unwrap();
+        let series = (0..6)
+            .map(|i| {
+                TimeSeries::univariate(
+                    (0..30)
+                        .map(|t| ((t * (i + 1)) as f32 * 0.21).sin())
+                        .collect(),
+                )
+            })
+            .collect();
+        let ds = Dataset::unlabeled("legacy-i16", series);
+        let a = loaded.transform(&ds).unwrap();
+        let b = f32_model.transform(&ds).unwrap();
+        let bits = |t: &Tensor| t.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         assert_eq!(
-            class(&with_scales("scales groups=2\n0.01\n0.01\n")),
-            ErrorClass::ModelFormat
+            bits(&a),
+            bits(&b),
+            "i16 file must serve its stored weights exactly"
         );
-        assert_eq!(
-            class(&with_scales("scales groups=1\nnope\n")),
-            ErrorClass::Parse
-        );
-        // A non-positive persisted scale is rejected, not divided by.
-        assert_eq!(
-            class(&with_scales("scales groups=1\n0\n")),
-            ErrorClass::ModelFormat
-        );
+        // Re-saving writes a plain f32 model; the scales section is gone.
+        assert_eq!(loaded.to_text(), f32_model.to_text());
     }
 
     #[test]
@@ -552,32 +501,20 @@ mod tests {
         let entry = archive::by_name("MotifEasy").unwrap();
         let (train, test) = archive::generate_split(&entry, 27);
         let (scfg, ccfg) = quick_cfg();
-        for (scheme, precision) in [
-            (QuantScheme::F16, BankPrecision::F16),
-            (QuantScheme::I16, BankPrecision::I16),
-        ] {
-            let (mut model, _) = TimeCsl::pretrain(&train, Some(scfg.clone()), &ccfg);
-            model.quantize(scheme).unwrap();
-            assert_eq!(model.precision(), precision);
-            let text = model.to_text();
-            assert!(text.starts_with(&format!(
-                "tcsl-model v3 normalization=zscore precision={}",
-                precision.name()
-            )));
-            let loaded = TimeCsl::from_text(&text).unwrap();
-            assert_eq!(loaded.precision(), precision);
-            let a = model.transform(&test).unwrap();
-            let b = loaded.transform(&test).unwrap();
-            // Save → load reconstructs the identical half-width taps, so
-            // features are bit-identical, not merely close.
-            assert_eq!(
-                a.max_abs_diff(&b),
-                0.0,
-                "{precision:?} round trip must be exact"
-            );
-            // And a second round trip is a fixed point of the format.
-            assert_eq!(loaded.to_text(), text, "{precision:?}");
-        }
+        let (mut model, _) = TimeCsl::pretrain(&train, Some(scfg), &ccfg);
+        model.quantize(QuantScheme::F16).unwrap();
+        assert_eq!(model.precision(), BankPrecision::F16);
+        let text = model.to_text();
+        assert!(text.starts_with("tcsl-model v3 normalization=zscore precision=f16"));
+        let loaded = TimeCsl::from_text(&text).unwrap();
+        assert_eq!(loaded.precision(), BankPrecision::F16);
+        let a = model.transform(&test).unwrap();
+        let b = loaded.transform(&test).unwrap();
+        // Save → load reconstructs the identical half-width taps, so
+        // features are bit-identical, not merely close.
+        assert_eq!(a.max_abs_diff(&b), 0.0, "round trip must be exact");
+        // And a second round trip is a fixed point of the format.
+        assert_eq!(loaded.to_text(), text);
     }
 
     #[test]
@@ -589,7 +526,6 @@ mod tests {
         ccfg.bank_precision = BankPrecision::F16;
         let (model, _) = TimeCsl::pretrain(&train, Some(scfg.clone()), &ccfg);
         assert_eq!(model.precision(), BankPrecision::F16);
-        assert!(model.bank().quantized().is_some());
         // The quantized model stays close to the full-precision one.
         ccfg.bank_precision = BankPrecision::Full;
         let (full, _) = TimeCsl::pretrain(&train, Some(scfg), &ccfg);
@@ -606,16 +542,14 @@ mod tests {
         let (scfg, ccfg) = quick_cfg();
         let (model, _) = TimeCsl::pretrain(&train, Some(scfg), &ccfg);
         let full = model.transform(&test).unwrap();
-        for scheme in [QuantScheme::F16, QuantScheme::I16] {
-            let mut q = model.clone();
-            q.quantize(scheme).unwrap();
-            let feats = q.transform(&test).unwrap();
-            assert!(feats.all_finite());
-            assert!(
-                full.max_abs_diff(&feats) < 0.05,
-                "{scheme:?}: {}",
-                full.max_abs_diff(&feats)
-            );
-        }
+        let mut q = model.clone();
+        q.quantize(QuantScheme::F16).unwrap();
+        let feats = q.transform(&test).unwrap();
+        assert!(feats.all_finite());
+        assert!(
+            full.max_abs_diff(&feats) < 0.05,
+            "{}",
+            full.max_abs_diff(&feats)
+        );
     }
 }

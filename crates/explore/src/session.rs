@@ -14,7 +14,7 @@ use crate::svg;
 use crate::tabular::FeatureTable;
 use crate::tsne::{tsne, TsneConfig};
 use tcsl_core::TimeCsl;
-use tcsl_data::normalize::{normalize_series, Normalization};
+use tcsl_data::normalize::normalize_series;
 use tcsl_data::Dataset;
 use tcsl_error::{TcslError, TcslResult};
 use tcsl_shapelet::matching::{best_match_for_feature, ShapeletMatch};
@@ -106,16 +106,16 @@ impl ExploreSession {
     /// shapelet `col` in series `i`.
     pub fn match_shapelet(&self, i: usize, col: usize) -> TcslResult<ShapeletMatch> {
         self.check_series(i)?;
-        // Matching runs on the normalized series — the space the features
-        // live in.
-        let normed = normalize_series(self.dataset.series(i), Normalization::ZScore);
+        // Matching runs on the series under the model's normalization —
+        // the space the features live in.
+        let normed = normalize_series(self.dataset.series(i), self.model.normalization());
         best_match_for_feature(self.model.bank(), col, &normed)
     }
 
     /// Fig. 3b: renders the match of shapelet `col` in series `i` as SVG.
     pub fn render_match(&self, i: usize, col: usize) -> TcslResult<String> {
         self.check_series(i)?;
-        let normed = normalize_series(self.dataset.series(i), Normalization::ZScore);
+        let normed = normalize_series(self.dataset.series(i), self.model.normalization());
         let m = best_match_for_feature(self.model.bank(), col, &normed)?;
         let (gi, k) = self.model.bank().feature_to_shapelet(col)?;
         let shapelet = self.model.bank().groups()[gi].shapelet(k, self.model.bank().d);
@@ -247,6 +247,30 @@ mod tests {
                 m.score,
                 s.features().at2(2, col)
             );
+        }
+    }
+
+    #[test]
+    fn match_score_is_the_cached_feature_under_every_normalization() {
+        // Localization must read the series in the space the features were
+        // computed in: the model's normalization, not a fixed z-score.
+        use tcsl_data::normalize::Normalization;
+        let base = session();
+        for norm in [Normalization::MinMax, Normalization::None] {
+            let model = TimeCsl::from_bank_normalized(base.model().bank().clone(), norm);
+            let s = ExploreSession::new(model, base.dataset().clone()).unwrap();
+            for i in [0usize, 2] {
+                for col in 0..s.features().cols() {
+                    let m = s.match_shapelet(i, col).unwrap();
+                    assert_eq!(
+                        m.score.to_bits(),
+                        s.features().at2(i, col).to_bits(),
+                        "{norm:?} series {i} column {col}: {} vs {}",
+                        m.score,
+                        s.features().at2(i, col)
+                    );
+                }
+            }
         }
     }
 

@@ -203,12 +203,6 @@ pub static DOT_DISPATCH_F16_AVX512: Counter = Counter::new("dot.dispatch.f16_avx
 pub static DOT_DISPATCH_F16C: Counter = Counter::new("dot.dispatch.f16c");
 /// Mixed-precision f16 dots that took the portable scalar kernel.
 pub static DOT_DISPATCH_F16_SCALAR: Counter = Counter::new("dot.dispatch.f16_scalar");
-/// Mixed-precision i16 dots dispatched to the AVX-512F/BW kernel.
-pub static DOT_DISPATCH_I16_AVX512: Counter = Counter::new("dot.dispatch.i16_avx512");
-/// Mixed-precision i16 dots dispatched to the AVX2+FMA widening kernel.
-pub static DOT_DISPATCH_I16_AVX2: Counter = Counter::new("dot.dispatch.i16_avx2");
-/// Mixed-precision i16 dots that took the portable scalar kernel.
-pub static DOT_DISPATCH_I16_SCALAR: Counter = Counter::new("dot.dispatch.i16_scalar");
 /// Corpus tiles processed by the pairwise-distance engine
 /// (`pairdist` + `knn`): one per (row-block, column-tile) pair.
 pub static PAIRDIST_TILES: Counter = Counter::new("pairdist.tiles");
@@ -294,9 +288,6 @@ static WELL_KNOWN: &[&Counter] = &[
     &DOT_DISPATCH_F16_AVX512,
     &DOT_DISPATCH_F16C,
     &DOT_DISPATCH_F16_SCALAR,
-    &DOT_DISPATCH_I16_AVX512,
-    &DOT_DISPATCH_I16_AVX2,
-    &DOT_DISPATCH_I16_SCALAR,
     &PAIRDIST_TILES,
     &TRAINER_PAIRS,
     &FINETUNE_EXAMPLES,

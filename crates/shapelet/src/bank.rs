@@ -3,12 +3,12 @@
 
 use crate::config::ShapeletConfig;
 use crate::measure::Measure;
-use crate::quant::{BankPrecision, QuantizedPrecomp};
+use crate::quant::BankPrecision;
 use std::fmt::Write as _;
 use std::ops::Range;
 use std::sync::OnceLock;
 use tcsl_error::{TcslError, TcslResult};
-use tcsl_tensor::quant::{QuantScheme, F16_MAX};
+use tcsl_tensor::quant::{f16_to_f32, f32_to_f16, QuantScheme, TapElem, F16_MAX, QUANT_MIN_LEN};
 use tcsl_tensor::Tensor;
 
 /// One (scale, measure) group of `K` shapelets, stored flattened as a
@@ -40,50 +40,100 @@ pub struct GroupPrecomp {
     /// cosine measure, folded into a scale factor instead of a normalized
     /// matrix copy.
     pub inv_norms: Vec<f32>,
-    /// The shapelet rows repacked with a padded row stride. The `(K, D·len)`
-    /// matrix stores rows back-to-back, which puts the four tap streams of
-    /// the blocked dot kernel at cache-hostile relative offsets; spacing
-    /// rows out to a padded stride measurably improves streaming bandwidth
-    /// (~1.5× on long scales). Values are bit-identical copies of the rows,
-    /// so kernels reading either buffer produce identical results.
-    taps: Vec<f32>,
-    /// Row stride (in floats) of [`Self::taps`].
-    tap_stride: usize,
-    /// Row length `D·len` (the unpadded prefix of each stride).
-    row_len: usize,
+    /// The tap rows, at the element width the group runs at.
+    pub(crate) taps: GroupTaps,
 }
 
-impl GroupPrecomp {
-    /// Computes the precomputation for one group's `(K, D·len)` matrix.
-    pub fn of(shapelets: &Tensor) -> GroupPrecomp {
-        let sq_norms: Vec<f32> = (0..shapelets.rows())
-            .map(|k| shapelets.row(k).iter().map(|&x| x * x).sum())
-            .collect();
-        let inv_norms = sq_norms.iter().map(|&n| 1.0 / (n + 1e-12).sqrt()).collect();
+/// A group's repacked tap rows at the width the fused engine streams them.
+#[derive(Clone, Debug)]
+pub(crate) enum GroupTaps {
+    /// Full-precision rows.
+    F32(TapRows<f32>),
+    /// IEEE 754 binary16 rows.
+    F16(TapRows<u16>),
+}
+
+/// The shapelet rows repacked with a padded row stride. The `(K, D·len)`
+/// matrix stores rows back-to-back, which puts the four tap streams of the
+/// blocked dot kernel at cache-hostile relative offsets; spacing rows out to
+/// a padded stride measurably improves streaming bandwidth (~1.5× on long
+/// scales). `f32` rows are bit-identical copies of the matrix rows.
+#[derive(Clone, Debug)]
+pub(crate) struct TapRows<T> {
+    data: Vec<T>,
+    /// Row stride (in elements) of `data`.
+    stride: usize,
+    /// Row length `D·len` (the unpadded prefix of each stride).
+    pub(crate) row_len: usize,
+}
+
+impl<T: TapElem> TapRows<T> {
+    fn pack(shapelets: &Tensor) -> TapRows<T> {
         let row_len = shapelets.cols();
         // Long rows get a page-multiple stride (best for the L2 streamer);
         // short rows just round up to a cache line to bound the waste.
-        let tap_stride = if row_len >= 1024 {
+        let stride = if row_len >= 1024 {
             row_len.div_ceil(1024) * 1024
         } else {
             row_len.div_ceil(16) * 16
         };
-        let mut taps = vec![0.0f32; shapelets.rows() * tap_stride];
-        for k in 0..shapelets.rows() {
-            taps[k * tap_stride..k * tap_stride + row_len].copy_from_slice(shapelets.row(k));
+        let mut data = vec![T::default(); shapelets.rows() * stride];
+        for (k, dst) in data.chunks_exact_mut(stride).enumerate() {
+            for (d, &x) in dst.iter_mut().zip(shapelets.row(k)) {
+                *d = T::from_f32(x);
+            }
         }
-        GroupPrecomp {
-            sq_norms,
-            inv_norms,
-            taps,
-            tap_stride,
+        TapRows {
+            data,
+            stride,
             row_len,
         }
     }
 
-    /// Shapelet row `k` (length `D·len`), from the repacked buffer.
-    pub fn tap_row(&self, k: usize) -> &[f32] {
-        &self.taps[k * self.tap_stride..k * self.tap_stride + self.row_len]
+    /// Tap row `k` (length `D·len`).
+    pub(crate) fn row(&self, k: usize) -> &[T] {
+        &self.data[k * self.stride..k * self.stride + self.row_len]
+    }
+}
+
+impl GroupPrecomp {
+    /// Computes the precomputation for one group's `(K, D·len)` matrix, with
+    /// full-precision taps.
+    pub fn of(shapelets: &Tensor) -> GroupPrecomp {
+        Self::with_taps(shapelets, GroupTaps::F32(TapRows::pack(shapelets)))
+    }
+
+    /// [`Self::of`] with binary16 taps. The values must already be
+    /// f16-representable (a quantized bank's dequantized view), so the taps
+    /// hold exactly the values the norms are computed from.
+    pub(crate) fn of_f16(shapelets: &Tensor) -> GroupPrecomp {
+        Self::with_taps(shapelets, GroupTaps::F16(TapRows::pack(shapelets)))
+    }
+
+    fn with_taps(shapelets: &Tensor, taps: GroupTaps) -> GroupPrecomp {
+        let sq_norms: Vec<f32> = (0..shapelets.rows())
+            .map(|k| shapelets.row(k).iter().map(|&x| x * x).sum())
+            .collect();
+        let inv_norms = sq_norms.iter().map(|&n| 1.0 / (n + 1e-12).sqrt()).collect();
+        GroupPrecomp {
+            sq_norms,
+            inv_norms,
+            taps,
+        }
+    }
+
+    /// Number of shapelets in the group.
+    pub(crate) fn k(&self) -> usize {
+        self.sq_norms.len()
+    }
+
+    /// Bytes each stored tap occupies: 4 for f32 taps, 2 for binary16 —
+    /// the width [`ShapeletBank::precomputed`] chose for the group.
+    pub fn bytes_per_tap(&self) -> usize {
+        match self.taps {
+            GroupTaps::F32(_) => 4,
+            GroupTaps::F16(_) => 2,
+        }
     }
 }
 
@@ -112,13 +162,11 @@ pub struct ShapeletBank {
     /// Reset by every mutable access to the groups so it can never go
     /// stale; shared by all series of a batch transform.
     precomp: OnceLock<Vec<GroupPrecomp>>,
-    /// Half-width tap storage, present iff the bank has been quantized
-    /// ([`Self::quantize`]). When set, `groups[..].shapelets` hold the
-    /// **dequantized** values, so every f32 consumer (oracle, localization,
-    /// serialization) sees exactly what the quantized kernels compute with.
-    /// Cleared by any mutable access to the groups.
-    quant: Option<Vec<QuantizedPrecomp>>,
-    /// Inference precision; [`BankPrecision::Full`] unless quantized.
+    /// Inference precision; [`BankPrecision::Full`] unless quantized. A
+    /// quantized bank's `groups[..].shapelets` hold the **dequantized**
+    /// values, so every f32 consumer (oracle, localization, serialization)
+    /// sees exactly what the half-width kernels compute with. Reset by any
+    /// mutable access to the groups.
     precision: BankPrecision,
 }
 
@@ -144,7 +192,6 @@ impl ShapeletBank {
             d,
             groups,
             precomp: OnceLock::new(),
-            quant: None,
             precision: BankPrecision::Full,
         }
     }
@@ -152,7 +199,6 @@ impl ShapeletBank {
     /// Fills every shapelet with standard-normal noise (scaled down).
     pub fn randomize(&mut self, rng: &mut impl rand::Rng) {
         self.precomp = OnceLock::new();
-        self.quant = None;
         self.precision = BankPrecision::Full;
         for g in &mut self.groups {
             g.shapelets = Tensor::randn(g.shapelets.shape().clone(), rng).scale(0.5);
@@ -167,23 +213,36 @@ impl ShapeletBank {
     /// Mutable access to the groups (used by training to write back learned
     /// shapelets). Invalidates the cached precomputation — the only way to
     /// mutate shapelets is through `&mut self`, so [`Self::precomputed`]
-    /// can never observe stale norms. Also drops any quantized taps: a
+    /// can never observe stale norms. Also drops the quantization: a
     /// mutated bank is a full-precision bank until re-quantized.
     pub fn groups_mut(&mut self) -> &mut [ShapeletGroup] {
         self.precomp = OnceLock::new();
-        self.quant = None;
         self.precision = BankPrecision::Full;
         &mut self.groups
     }
 
     /// The per-group shapelet-side precomputation (row squared norms,
-    /// inverse L2 norms), computed once per bank on first use and shared by
-    /// every series transformed against it.
+    /// inverse L2 norms, repacked taps), computed once per bank on first use
+    /// and shared by every series transformed against it.
+    ///
+    /// This is where each group's tap width is decided, and only here: an
+    /// f16 bank streams binary16 taps for groups whose per-variable span is
+    /// at least [`QUANT_MIN_LEN`] — the length the f16 kernels dispatch on —
+    /// and f32 taps of its dequantized rows below it, where half-width
+    /// storage saves no traffic and only the software-conversion scalar
+    /// kernel would run. Both give the values of the f32 engine on the
+    /// dequantized bank; below the threshold bit for bit.
     pub fn precomputed(&self) -> &[GroupPrecomp] {
         self.precomp.get_or_init(|| {
             self.groups
                 .iter()
-                .map(|g| GroupPrecomp::of(&g.shapelets))
+                .map(|g| {
+                    if self.precision == BankPrecision::F16 && g.len >= QUANT_MIN_LEN {
+                        GroupPrecomp::of_f16(&g.shapelets)
+                    } else {
+                        GroupPrecomp::of(&g.shapelets)
+                    }
+                })
                 .collect()
         })
     }
@@ -194,25 +253,19 @@ impl ShapeletBank {
         self.precision
     }
 
-    /// The per-group half-width tap storage, present iff the bank is
-    /// quantized. The transform and localization paths route through these
-    /// instead of [`Self::precomputed`] when set.
-    pub fn quantized(&self) -> Option<&[QuantizedPrecomp]> {
-        self.quant.as_deref()
-    }
-
     /// Quantizes the bank in place for inference — an explicit post-training
-    /// step. Tap rows are converted to the half-width `scheme`, and the f32
-    /// shapelet tensors are replaced by their **dequantized** values, so
-    /// every consumer of the f32 view (oracle transform, localization,
-    /// serialization, norms) is consistent with what the quantized kernels
-    /// compute. Idempotent: re-quantizing an already-quantized bank with the
-    /// same scheme changes nothing.
+    /// step. Every tap is rounded to the half-width `scheme` and the f32
+    /// shapelet tensors hold the **dequantized** values, so every consumer
+    /// of the f32 view (oracle transform, localization, serialization,
+    /// norms) is consistent with what the half-width kernels compute.
+    /// Idempotent: re-quantizing dequantized values is exact, so a second
+    /// quantization changes nothing.
     ///
     /// Fails with [`TcslError::NonFiniteInput`](tcsl_error::ErrorClass) on
     /// NaN/infinite taps, and with a config error for finite f16 overflow
-    /// (|tap| > 65504 — use i16, whose per-row scale absorbs any range).
+    /// (|tap| > 65504).
     pub fn quantize(&mut self, scheme: QuantScheme) -> TcslResult<()> {
+        let QuantScheme::F16 = scheme; // binary16 is the only scheme
         for (gi, g) in self.groups.iter().enumerate() {
             for k in 0..g.k() {
                 let row = g.shapelets.row(k);
@@ -221,80 +274,21 @@ impl ShapeletBank {
                         "shapelet taps (group {gi}, shapelet {k})"
                     )));
                 }
-                if scheme == QuantScheme::F16 {
-                    if let Some(&big) = row.iter().find(|x| x.abs() > F16_MAX) {
-                        return Err(TcslError::config(format!(
-                            "tap {big} in group {gi} shapelet {k} exceeds the f16 range \
-                             (±{F16_MAX}); quantize with scheme=i16 instead"
-                        )));
-                    }
-                }
-            }
-        }
-        let mut qps = Vec::with_capacity(self.groups.len());
-        for g in &mut self.groups {
-            let qp = QuantizedPrecomp::of(&g.shapelets, scheme);
-            g.shapelets = qp.dequantized();
-            qps.push(qp);
-        }
-        self.precomp = OnceLock::new();
-        self.quant = Some(qps);
-        self.precision = match scheme {
-            QuantScheme::F16 => BankPrecision::F16,
-            QuantScheme::I16 => BankPrecision::I16,
-        };
-        Ok(())
-    }
-
-    /// i16 quantization with externally supplied per-group, per-shapelet
-    /// scales — the model-loading path, where reusing the persisted scales
-    /// makes save → load → re-quantize reconstruct the exact same taps.
-    /// Scales must be positive and finite and every `round(tap / scale)`
-    /// must land in `[-32767, 32767]`.
-    pub fn quantize_with_scales(&mut self, scales: &[Vec<f32>]) -> TcslResult<()> {
-        if scales.len() != self.groups.len() {
-            return Err(TcslError::model_format(
-                format!("{} scale rows", self.groups.len()),
-                format!("{}", scales.len()),
-            ));
-        }
-        for (gi, (g, gs)) in self.groups.iter().zip(scales).enumerate() {
-            if gs.len() != g.k() {
-                return Err(TcslError::model_format(
-                    format!("{} scales for group {gi}", g.k()),
-                    format!("{}", gs.len()),
-                ));
-            }
-            for (k, &s) in gs.iter().enumerate() {
-                if !(s.is_finite() && s > 0.0) {
-                    return Err(TcslError::model_format(
-                        format!("a positive finite scale (group {gi}, shapelet {k})"),
-                        format!("{s}"),
-                    ));
-                }
-                let row = g.shapelets.row(k);
-                if !row.iter().all(|x| x.is_finite()) {
-                    return Err(TcslError::non_finite(format!(
-                        "shapelet taps (group {gi}, shapelet {k})"
+                if let Some(&big) = row.iter().find(|x| x.abs() > F16_MAX) {
+                    return Err(TcslError::config(format!(
+                        "tap {big} in group {gi} shapelet {k} exceeds the f16 range \
+                         (±{F16_MAX}); keep this model at f32"
                     )));
                 }
-                if let Some(&big) = row.iter().find(|x| (x.abs() / s).round() > 32767.0) {
-                    return Err(TcslError::model_format(
-                        format!("taps within ±32767·scale (group {gi}, shapelet {k})"),
-                        format!("tap {big} at scale {s}"),
-                    ));
-                }
             }
         }
-        let mut qps = Vec::with_capacity(self.groups.len());
-        for (g, gs) in self.groups.iter_mut().zip(scales) {
-            let qp = QuantizedPrecomp::with_scales(&g.shapelets, gs.clone());
-            g.shapelets = qp.dequantized();
-            qps.push(qp);
+        for g in &mut self.groups {
+            for x in g.shapelets.as_mut_slice() {
+                *x = f16_to_f32(f32_to_f16(*x));
+            }
         }
         self.precomp = OnceLock::new();
-        self.quant = Some(qps);
-        self.precision = BankPrecision::I16;
+        self.precision = BankPrecision::F16;
         Ok(())
     }
 
@@ -378,7 +372,6 @@ impl ShapeletBank {
             per_group[g].push(k);
         }
         let mut groups = Vec::new();
-        let mut sub_quant = self.quant.as_ref().map(|_| Vec::new());
         for (gi, ks) in per_group.into_iter().enumerate() {
             if ks.is_empty() {
                 continue;
@@ -388,12 +381,6 @@ impl ShapeletBank {
             let mut data = Vec::with_capacity(ks.len() * width);
             for &k in &ks {
                 data.extend_from_slice(src.shapelets.row(k));
-            }
-            // A quantized bank subsets to a quantized bank: the selected
-            // half-width rows are carried over, no re-quantization round
-            // trip.
-            if let (Some(sq), Some(qps)) = (sub_quant.as_mut(), self.quant.as_ref()) {
-                sq.push(qps[gi].subset_rows(&ks));
             }
             groups.push(ShapeletGroup {
                 len: src.len,
@@ -406,7 +393,6 @@ impl ShapeletBank {
             d: self.d,
             groups,
             precomp: OnceLock::new(),
-            quant: sub_quant,
             precision: self.precision,
         })
     }
@@ -426,9 +412,8 @@ impl ShapeletBank {
         }
         let mut kept_columns = Vec::new();
         let mut groups = Vec::new();
-        let mut sub_quant = self.quant.as_ref().map(|_| Vec::new());
         let mut col_base = 0usize;
-        for (gi, src) in self.groups.iter().enumerate() {
+        for src in &self.groups {
             let width = src.shapelets.cols();
             let mut kept_rows: Vec<usize> = Vec::new();
             for k in 0..src.k() {
@@ -452,9 +437,6 @@ impl ShapeletBank {
                 for &k in &kept_rows {
                     data.extend_from_slice(src.shapelets.row(k));
                 }
-                if let (Some(sq), Some(qps)) = (sub_quant.as_mut(), self.quant.as_ref()) {
-                    sq.push(qps[gi].subset_rows(&kept_rows));
-                }
                 groups.push(ShapeletGroup {
                     len: src.len,
                     stride: src.stride,
@@ -474,7 +456,6 @@ impl ShapeletBank {
                 d: self.d,
                 groups,
                 precomp: OnceLock::new(),
-                quant: sub_quant,
                 precision: self.precision,
             },
             kept_columns,
@@ -483,16 +464,12 @@ impl ShapeletBank {
 
     /// Builds a sub-bank with every shapelet of one scale (length).
     pub fn subset_scale(&self, len: usize) -> TcslResult<ShapeletBank> {
-        let mut groups = Vec::new();
-        let mut sub_quant = self.quant.as_ref().map(|_| Vec::new());
-        for (gi, g) in self.groups.iter().enumerate() {
-            if g.len == len {
-                if let (Some(sq), Some(qps)) = (sub_quant.as_mut(), self.quant.as_ref()) {
-                    sq.push(qps[gi].clone());
-                }
-                groups.push(g.clone());
-            }
-        }
+        let groups: Vec<ShapeletGroup> = self
+            .groups
+            .iter()
+            .filter(|g| g.len == len)
+            .cloned()
+            .collect();
         if groups.is_empty() {
             let scales: Vec<String> = self.scales().iter().map(|l| l.to_string()).collect();
             return Err(TcslError::config(format!(
@@ -504,7 +481,6 @@ impl ShapeletBank {
             d: self.d,
             groups,
             precomp: OnceLock::new(),
-            quant: sub_quant,
             precision: self.precision,
         })
     }
@@ -645,7 +621,6 @@ impl ShapeletBank {
             d,
             groups,
             precomp: OnceLock::new(),
-            quant: None,
             precision: BankPrecision::Full,
         })
     }
@@ -839,49 +814,52 @@ mod tests {
         }
     }
 
+    /// Whether group `gi` of the bank's precomputation streams binary16 taps.
+    fn f16_taps(b: &ShapeletBank, gi: usize) -> bool {
+        matches!(b.precomputed()[gi].taps, GroupTaps::F16(_))
+    }
+
     #[test]
-    fn quantize_sets_precision_and_survives_round_trips() {
-        use crate::quant::BankPrecision;
-        use tcsl_tensor::quant::QuantScheme;
-        for (scheme, precision) in [
-            (QuantScheme::F16, BankPrecision::F16),
-            (QuantScheme::I16, BankPrecision::I16),
-        ] {
-            let mut b = bank();
-            b.randomize(&mut seeded(41));
-            assert_eq!(b.precision(), BankPrecision::Full);
-            assert!(b.quantized().is_none());
-            b.quantize(scheme).unwrap();
-            assert_eq!(b.precision(), precision);
-            let qps = b.quantized().unwrap();
-            assert_eq!(qps.len(), b.groups().len());
-            // f32 view == dequantized view, so a second quantization is a
-            // no-op on the values.
-            let before: Vec<Tensor> = b.groups().iter().map(|g| g.shapelets.clone()).collect();
-            b.quantize(scheme).unwrap();
-            for (g, want) in b.groups().iter().zip(&before) {
-                assert_eq!(&g.shapelets, want, "{scheme:?} idempotence");
-            }
+    fn quantize_sets_precision_and_picks_tap_width_per_group() {
+        // One group below the f16 kernels' span threshold, one at it: the
+        // bank streams f32 taps for the first and binary16 for the second.
+        let cfg = ShapeletConfig {
+            lengths: vec![QUANT_MIN_LEN - 1, QUANT_MIN_LEN],
+            k_per_group: 3,
+            measures: vec![Measure::Euclidean],
+            stride: 1,
+        };
+        let mut b = ShapeletBank::new(&cfg, 2);
+        b.randomize(&mut seeded(41));
+        assert_eq!(b.precision(), BankPrecision::Full);
+        assert!(!f16_taps(&b, 0) && !f16_taps(&b, 1));
+        b.quantize(QuantScheme::F16).unwrap();
+        assert_eq!(b.precision(), BankPrecision::F16);
+        assert!(!f16_taps(&b, 0), "short span stays at f32");
+        assert!(f16_taps(&b, 1), "long span streams binary16");
+        // f32 view == dequantized view, so a second quantization is a
+        // no-op on the values.
+        let before: Vec<Tensor> = b.groups().iter().map(|g| g.shapelets.clone()).collect();
+        b.quantize(QuantScheme::F16).unwrap();
+        for (g, want) in b.groups().iter().zip(&before) {
+            assert_eq!(&g.shapelets, want, "idempotence");
         }
     }
 
     #[test]
     fn mutation_drops_quantization() {
-        use tcsl_tensor::quant::QuantScheme;
         let mut b = bank();
         b.randomize(&mut seeded(42));
         b.quantize(QuantScheme::F16).unwrap();
         let _ = b.groups_mut();
-        assert!(b.quantized().is_none());
-        assert_eq!(b.precision(), crate::quant::BankPrecision::Full);
-        b.quantize(QuantScheme::I16).unwrap();
+        assert_eq!(b.precision(), BankPrecision::Full);
+        b.quantize(QuantScheme::F16).unwrap();
         b.randomize(&mut seeded(43));
-        assert!(b.quantized().is_none());
+        assert_eq!(b.precision(), BankPrecision::Full);
     }
 
     #[test]
     fn quantize_rejects_non_finite_and_f16_overflow() {
-        use tcsl_tensor::quant::QuantScheme;
         let mut b = bank();
         b.randomize(&mut seeded(44));
         b.groups_mut()[1].shapelets.row_mut(0)[2] = f32::NAN;
@@ -894,31 +872,31 @@ mod tests {
         b.groups_mut()[0].shapelets.row_mut(1)[0] = 1.0e6; // finite, > f16 max
         let err = b.quantize(QuantScheme::F16).unwrap_err();
         assert_eq!(err.class(), tcsl_error::ErrorClass::Config);
-        assert!(err.to_string().contains("i16"), "suggests i16: {err}");
-        // The same bank quantizes fine as i16 (per-row scale absorbs range).
-        b.quantize(QuantScheme::I16).unwrap();
+        let msg = err.to_string();
+        assert!(msg.contains("f16 range"), "{msg}");
+        assert!(!msg.contains("i16"), "suggests a retired scheme: {msg}");
+        assert_eq!(
+            b.precision(),
+            BankPrecision::Full,
+            "failed quantize is a no-op"
+        );
     }
 
     #[test]
     fn subsetting_carries_quantized_taps() {
-        use tcsl_tensor::quant::QuantScheme;
-        for scheme in [QuantScheme::F16, QuantScheme::I16] {
-            let mut b = bank();
-            b.randomize(&mut seeded(46));
-            b.quantize(scheme).unwrap();
-            let sub = b.subset_columns(&[0, 1, 2, 4]).unwrap();
-            assert_eq!(sub.precision(), b.precision());
-            let qps = sub.quantized().unwrap();
-            assert_eq!(qps.len(), sub.groups().len());
-            for (g, qp) in sub.groups().iter().zip(qps) {
-                assert_eq!(qp.k(), g.k());
-                assert_eq!(qp.dequantized(), g.shapelets, "{scheme:?}");
-            }
-            let scale_sub = b.subset_scale(8).unwrap();
-            assert_eq!(scale_sub.quantized().unwrap().len(), 3);
-            let (pruned, _) = b.prune_redundant(1.0).unwrap();
-            assert_eq!(pruned.quantized().unwrap().len(), pruned.groups().len());
-        }
+        let mut b = bank();
+        b.randomize(&mut seeded(46));
+        b.quantize(QuantScheme::F16).unwrap();
+        let sub = b.subset_columns(&[0, 1, 2, 4]).unwrap();
+        assert_eq!(sub.precision(), BankPrecision::F16);
+        assert_eq!(sub.groups()[0].shapelets, b.groups()[0].shapelets);
+        assert_eq!(
+            sub.groups()[1].shapelets.row(0),
+            b.groups()[1].shapelets.row(1)
+        );
+        assert_eq!(b.subset_scale(8).unwrap().precision(), BankPrecision::F16);
+        let (pruned, _) = b.prune_redundant(1.0).unwrap();
+        assert_eq!(pruned.precision(), BankPrecision::F16);
     }
 
     #[test]

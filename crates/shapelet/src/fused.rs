@@ -12,9 +12,14 @@
 //!   ([`tcsl_tensor::window::window_sq_norms`]) yields `‖w‖²` in O(1) per
 //!   window, shared by all shapelets and measures of the scale
 //!   ([`ScaleWindows`]).
-//! * **Bank-side precomputation** — shapelet row norms come from
+//! * **Bank-side precomputation** — shapelet row norms and repacked tap
+//!   rows come from
 //!   [`ShapeletBank::precomputed`](crate::ShapeletBank::precomputed), once
 //!   per bank instead of once per series.
+//! * **One engine for every tap width** — the loops are generic over
+//!   [`TapElem`], so an f16 bank's binary16 groups run the same blocking,
+//!   tiling and argmin tie-breaking as f32 groups; only the dot kernel
+//!   differs.
 //! * **Blocked fallback** — when the series is too large to stay cache
 //!   resident across the per-shapelet passes, windows are copied in small
 //!   tiles (a bounded scratch buffer, reused across tiles) and scored
@@ -25,10 +30,13 @@
 //! [`Measure::finish`], and agree with the unfold oracle to f32 round-off
 //! (property-tested in `crate::proptests`).
 
-use crate::bank::{GroupPrecomp, ShapeletGroup};
+use crate::bank::{GroupPrecomp, GroupTaps, ShapeletGroup, TapRows};
 use crate::measure::Measure;
 use crate::transform::pad_to_len;
-use tcsl_tensor::window::{count_windows, window_dot, window_dot4, window_sq_norms};
+use tcsl_tensor::quant::TapElem;
+use tcsl_tensor::window::{
+    count_windows, window_dot, window_dot2, window_dot2x4, window_dot4, window_sq_norms,
+};
 use tcsl_tensor::Tensor;
 
 /// Series-side state for one (scale, stride): the padded series plus the
@@ -85,6 +93,28 @@ pub const TILE_WINDOWS: usize = 64;
 /// tile-by-tile (one pass over the series, K dots per copied window) wins.
 pub const BLOCKED_SERIES_BYTES: usize = 1 << 20;
 
+/// Row length (in elements) above which the fused engine streams taps in
+/// 2-row instead of 4-row blocks. A 4-row half-width block of a longer row
+/// (> 4 · 3072 · 2 B = 24 KiB) no longer fits in a 32 KiB L1d alongside the
+/// window stream, so every window pass spills the taps it just read;
+/// halving the block keeps the hot tap set resident. Only applied when the
+/// pair kernels still share window loads
+/// ([`TapElem::paired_kernel_available`]; never for f32 taps).
+pub const PAIR_BLOCK_MIN_ROW: usize = 3072;
+
+/// Shapelets per block of one group's streaming pass: 2 for wide rows with
+/// a load-sharing pair kernel, else 4. One deterministic decision per
+/// (group, machine): pooling and localization both derive their blocking
+/// from it, which is what keeps localization scores bit-identical to pooled
+/// values.
+fn block_width<T: TapElem>(taps: &TapRows<T>, span_len: usize) -> usize {
+    if taps.row_len > PAIR_BLOCK_MIN_ROW && T::paired_kernel_available(span_len) {
+        2
+    } else {
+        4
+    }
+}
+
 /// Pools one group over a series: the per-shapelet best score plus the
 /// best window index, computed without materializing the window matrix.
 /// Equivalent to `score_matrix` + `pool` (the property-tested contract).
@@ -108,7 +138,7 @@ pub fn pool_measure(
     pre: &GroupPrecomp,
 ) -> (Vec<f32>, Vec<usize>) {
     let series_bytes = sw.padded.numel() * core::mem::size_of::<f32>();
-    if pre.sq_norms.len() > 1 && series_bytes > BLOCKED_SERIES_BYTES {
+    if pre.k() > 1 && series_bytes > BLOCKED_SERIES_BYTES {
         tcsl_obs::counters::SHAPELET_POOL_BLOCKED.add(1);
         pool_group_blocked(sw, measure, pre)
     } else {
@@ -122,10 +152,11 @@ pub fn pool_measure(
 /// localization (which needs every window's score, not just the pooled
 /// one).
 ///
-/// Mirrors the fused pooling engine's shapelet blocking (blocks of 4 via
-/// [`window_dot4`], remainder via [`window_dot`]), so the score of shapelet
-/// `k` here is bit-identical to the one [`pool_group_fused`] pooled over —
-/// localization provably explains the feature value.
+/// Mirrors the fused pooling engine's shapelet blocking ([`block_width`]
+/// rows via the same window kernels, remainder via [`window_dot`]), so the
+/// score of shapelet `k` here is bit-identical to the one
+/// [`pool_group_fused`] pooled over — localization provably explains the
+/// feature value, at every tap width.
 pub fn shapelet_scores(
     sw: &ScaleWindows,
     g: &ShapeletGroup,
@@ -137,43 +168,51 @@ pub fn shapelet_scores(
         "shapelet {k} out of range for group of {}",
         g.k()
     );
+    match &pre.taps {
+        GroupTaps::F32(taps) => scores_of(sw, g.measure, pre, taps, k),
+        GroupTaps::F16(taps) => scores_of(sw, g.measure, pre, taps, k),
+    }
+}
+
+fn scores_of<T: TapElem>(
+    sw: &ScaleWindows,
+    measure: Measure,
+    pre: &GroupPrecomp,
+    taps: &TapRows<T>,
+    k: usize,
+) -> Vec<f32> {
     let d = sw.padded.rows();
     let width = (d * sw.len) as f32;
     let (s_sq, s_inv) = (pre.sq_norms[k], pre.inv_norms[k]);
-    let full = g.k() - g.k() % 4;
-    let mut out = Vec::with_capacity(sw.n);
-    if k < full {
-        tcsl_tensor::matmul::count_dot_dispatch(sw.len, (4 * d * sw.n) as u64);
-        let kb = k / 4 * 4;
-        let j = k - kb;
-        let taps = [
-            pre.tap_row(kb),
-            pre.tap_row(kb + 1),
-            pre.tap_row(kb + 2),
-            pre.tap_row(kb + 3),
-        ];
-        for w in 0..sw.n {
-            let cross = window_dot4(&sw.padded, taps, w * sw.stride, sw.len)[j];
-            out.push(score(g.measure, cross, sw, w, s_sq, s_inv, width));
-        }
+    let bw = block_width(taps, sw.len);
+    let blocked = k < pre.k() - pre.k() % bw;
+    let (kb, j) = (k / bw * bw, k % bw);
+    T::count_dispatch(sw.len, ((if blocked { bw } else { 1 }) * d * sw.n) as u64);
+    let score_at = |w: usize, cross: f32| score(measure, cross, sw, w, s_sq, s_inv, width);
+    if blocked && bw == 2 {
+        let rows = [taps.row(kb), taps.row(kb + 1)];
+        (0..sw.n)
+            .map(|w| score_at(w, window_dot2(&sw.padded, rows, w * sw.stride, sw.len)[j]))
+            .collect()
+    } else if blocked {
+        let rows = [0, 1, 2, 3].map(|i| taps.row(kb + i));
+        (0..sw.n)
+            .map(|w| score_at(w, window_dot4(&sw.padded, rows, w * sw.stride, sw.len)[j]))
+            .collect()
     } else {
-        tcsl_tensor::matmul::count_dot_dispatch(sw.len, (d * sw.n) as u64);
-        let taps = pre.tap_row(k);
-        for w in 0..sw.n {
-            let cross = window_dot(&sw.padded, taps, w * sw.stride, sw.len);
-            out.push(score(g.measure, cross, sw, w, s_sq, s_inv, width));
-        }
+        let row = taps.row(k);
+        (0..sw.n)
+            .map(|w| score_at(w, window_dot(&sw.padded, row, w * sw.stride, sw.len)))
+            .collect()
     }
-    out
 }
 
 /// One (window, shapelet) score. Mirrors [`Measure::finish`] exactly —
 /// cosine uses the cached inverse norms, which are bit-identical to the
 /// ones `finish` derives — so every engine produces the same value for the
-/// same raw dot product. Shared with the quantized engines
-/// ([`crate::quant`]), which differ only in the dot kernel.
+/// same raw dot product.
 #[inline]
-pub(crate) fn score(
+fn score(
     m: Measure,
     cross: f32,
     sw: &ScaleWindows,
@@ -190,7 +229,7 @@ pub(crate) fn score(
 }
 
 /// Fully fused engine: shapelet-major, one streaming pass over the series
-/// per block of 4 shapelets (the load-sharing [`window_dot4`] kernel keeps
+/// per block of shapelets (the load-sharing [`window_dot4`] kernel keeps
 /// the window in registers across the block), O(1) extra memory. Best when
 /// the series fits in cache (the common case — a 4k-step univariate series
 /// is 16 KiB).
@@ -199,57 +238,81 @@ pub(crate) fn pool_group_fused(
     measure: Measure,
     pre: &GroupPrecomp,
 ) -> (Vec<f32>, Vec<usize>) {
+    match &pre.taps {
+        GroupTaps::F32(taps) => fused_rows(sw, measure, pre, taps),
+        GroupTaps::F16(taps) => fused_rows(sw, measure, pre, taps),
+    }
+}
+
+fn fused_rows<T: TapElem>(
+    sw: &ScaleWindows,
+    measure: Measure,
+    pre: &GroupPrecomp,
+    taps: &TapRows<T>,
+) -> (Vec<f32>, Vec<usize>) {
     let d = sw.padded.rows();
     let width = (d * sw.len) as f32;
-    let k = pre.sq_norms.len();
+    let k = pre.k();
     // One gate check for the whole pool call: k dots per window, one
     // length-only dispatch decision shared by every one of them.
-    tcsl_tensor::matmul::count_dot_dispatch(sw.len, (k * d * sw.n) as u64);
+    T::count_dispatch(sw.len, (k * d * sw.n) as u64);
     let mut pooled = vec![f32::NAN; k];
     let mut args = vec![0usize; k];
-    let full = k - k % 4;
-    for kb in (0..full).step_by(4) {
-        let taps = [
-            pre.tap_row(kb),
-            pre.tap_row(kb + 1),
-            pre.tap_row(kb + 2),
-            pre.tap_row(kb + 3),
-        ];
-        for w in 0..sw.n {
-            let cross = window_dot4(&sw.padded, taps, w * sw.stride, sw.len);
-            for (j, &c) in cross.iter().enumerate() {
-                let kk = kb + j;
-                let s = score(
-                    measure,
-                    c,
-                    sw,
-                    w,
-                    pre.sq_norms[kk],
-                    pre.inv_norms[kk],
-                    width,
-                );
-                if w == 0 || measure.better(s, pooled[kk]) {
-                    pooled[kk] = s;
-                    args[kk] = w;
+    let mut update = |kk: usize, w: usize, cross: f32| {
+        let s = score(
+            measure,
+            cross,
+            sw,
+            w,
+            pre.sq_norms[kk],
+            pre.inv_norms[kk],
+            width,
+        );
+        if w == 0 || measure.better(s, pooled[kk]) {
+            pooled[kk] = s;
+            args[kk] = w;
+        }
+    };
+    let bw = block_width(taps, sw.len);
+    let full = k - k % bw;
+    for kb in (0..full).step_by(bw) {
+        if bw == 2 {
+            // Window quads share tap loads and conversions; trailing
+            // windows fall back to the single-window pair kernel
+            // (bit-identical per-dot values).
+            let rows = [taps.row(kb), taps.row(kb + 1)];
+            let mut w = 0usize;
+            while w + 4 <= sw.n {
+                let starts = [w, w + 1, w + 2, w + 3].map(|x| x * sw.stride);
+                let cross = window_dot2x4(&sw.padded, rows, starts, sw.len);
+                for (wi, cw) in cross.iter().enumerate() {
+                    for (j, &c) in cw.iter().enumerate() {
+                        update(kb + j, w + wi, c);
+                    }
+                }
+                w += 4;
+            }
+            for w in w..sw.n {
+                let cross = window_dot2(&sw.padded, rows, w * sw.stride, sw.len);
+                for (j, &c) in cross.iter().enumerate() {
+                    update(kb + j, w, c);
+                }
+            }
+        } else {
+            let rows = [0, 1, 2, 3].map(|i| taps.row(kb + i));
+            for w in 0..sw.n {
+                let cross = window_dot4(&sw.padded, rows, w * sw.stride, sw.len);
+                for (j, &c) in cross.iter().enumerate() {
+                    update(kb + j, w, c);
                 }
             }
         }
     }
     for kk in full..k {
-        let taps = pre.tap_row(kk);
-        let (s_sq, s_inv) = (pre.sq_norms[kk], pre.inv_norms[kk]);
-        let mut best = f32::NAN;
-        let mut best_w = 0usize;
+        let row = taps.row(kk);
         for w in 0..sw.n {
-            let cross = window_dot(&sw.padded, taps, w * sw.stride, sw.len);
-            let s = score(measure, cross, sw, w, s_sq, s_inv, width);
-            if w == 0 || measure.better(s, best) {
-                best = s;
-                best_w = w;
-            }
+            update(kk, w, window_dot(&sw.padded, row, w * sw.stride, sw.len));
         }
-        pooled[kk] = best;
-        args[kk] = best_w;
     }
     (pooled, args)
 }
@@ -264,13 +327,25 @@ pub(crate) fn pool_group_blocked(
     measure: Measure,
     pre: &GroupPrecomp,
 ) -> (Vec<f32>, Vec<usize>) {
+    match &pre.taps {
+        GroupTaps::F32(taps) => blocked_rows(sw, measure, pre, taps),
+        GroupTaps::F16(taps) => blocked_rows(sw, measure, pre, taps),
+    }
+}
+
+fn blocked_rows<T: TapElem>(
+    sw: &ScaleWindows,
+    measure: Measure,
+    pre: &GroupPrecomp,
+    taps: &TapRows<T>,
+) -> (Vec<f32>, Vec<usize>) {
     let d = sw.padded.rows();
     let len = sw.len;
     let row_w = d * len;
     let width = row_w as f32;
-    let k = pre.sq_norms.len();
+    let k = pre.k();
     // Blocked rows are the full d·len window, so dispatch is on row_w.
-    tcsl_tensor::matmul::count_dot_dispatch(row_w, (k * sw.n) as u64);
+    T::count_dispatch(row_w, (k * sw.n) as u64);
     let mut pooled = vec![f32::NAN; k];
     let mut args = vec![0usize; k];
     let mut tile = vec![0.0f32; TILE_WINDOWS.min(sw.n) * row_w];
@@ -287,7 +362,7 @@ pub(crate) fn pool_group_blocked(
             let w = tile_start + r;
             let row = &tile[r * row_w..(r + 1) * row_w];
             for (j, (p, a)) in pooled.iter_mut().zip(args.iter_mut()).enumerate() {
-                let cross = tcsl_tensor::matmul::dot(row, pre.tap_row(j));
+                let cross = T::dot(row, taps.row(j));
                 let s = score(
                     measure,
                     cross,

@@ -46,7 +46,7 @@ pub mod transform;
 pub use bank::{GroupPrecomp, ShapeletBank, ShapeletGroup};
 pub use config::ShapeletConfig;
 pub use measure::Measure;
-pub use quant::{BankPrecision, QuantizedPrecomp};
+pub use quant::BankPrecision;
 
 #[cfg(test)]
 mod proptests;

@@ -32,9 +32,10 @@ pub struct ShapeletMatch {
 /// Scores of one shapelet against every window of a series.
 ///
 /// Routed through the same streaming machinery as the fused transform
-/// ([`crate::fused::shapelet_scores`]): the scores here are bit-identical
-/// to the ones the transform pooled over, so the localized window provably
-/// explains the feature value.
+/// ([`crate::fused::shapelet_scores`], on the same precomputed taps): the
+/// scores here are bit-identical to the ones the transform pooled over, at
+/// every precision, so the localized window provably explains the feature
+/// value.
 pub fn window_scores(
     bank: &ShapeletBank,
     group: usize,
@@ -43,11 +44,6 @@ pub fn window_scores(
 ) -> Vec<f32> {
     let g = &bank.groups()[group];
     let sw = ScaleWindows::new(series.values(), g.len, g.stride);
-    // A quantized bank localizes through the same half-width kernels the
-    // transform pooled with, so score == feature value holds per precision.
-    if let Some(qps) = bank.quantized() {
-        return crate::quant::shapelet_scores_quant(&sw, g.measure, &qps[group], shapelet);
-    }
     shapelet_scores(&sw, g, &bank.precomputed()[group], shapelet)
 }
 

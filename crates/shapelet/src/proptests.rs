@@ -179,44 +179,42 @@ proptest! {
             .as_slice()
             .iter()
             .fold(0f32, |a, &x| a.max(x.abs()));
-        for scheme in [QuantScheme::F16, QuantScheme::I16] {
-            let mut qb = bank.clone();
-            qb.quantize(scheme).unwrap();
-            let qfeats = transform_series(&qb, &series).unwrap();
-            for (col, (&f, &q)) in full.iter().zip(&qfeats).enumerate() {
-                let (gi, k) = bank.feature_to_shapelet(col).unwrap();
-                let g = &bank.groups()[gi];
-                let orig = g.shapelets.row(k);
-                let deq = qb.groups()[gi].shapelets.row(k);
-                let eps = orig
-                    .iter()
-                    .zip(deq)
-                    .map(|(&a, &b)| (a - b).abs())
-                    .fold(0f32, f32::max);
-                let a_max = orig.iter().fold(0f32, |a, &x| a.max(x.abs()));
-                let s_norm = orig.iter().map(|&x| x * x).sum::<f32>().sqrt();
-                let width = (bank.d * g.len) as f32;
-                // Additive slack for f32 kernel rounding (both paths
-                // accumulate in f32 with different association).
-                let slack = 1e-4 * (1.0 + f.abs());
-                let tol = match g.measure {
-                    // |√a − √b| ≤ √|a − b|; the inner /width cancels one
-                    // width factor of the Δ bounds.
-                    Measure::Euclidean => {
-                        (2.0 * m_series * eps + 2.0 * a_max * eps + eps * eps).sqrt() + slack
-                    }
-                    // |cos(w, s_q) − cos(w, s)| ≤ 2·‖Δs‖ / ‖s‖.
-                    Measure::Cosine => {
-                        2.0 * width.sqrt() * eps / s_norm.max(1e-6) + slack
-                    }
-                    Measure::CrossCorrelation => m_series * eps + slack,
-                };
-                prop_assert!(
-                    (f - q).abs() <= tol,
-                    "{scheme:?} col {col} ({:?}): quant {q} vs full {f}, |Δ|={} > tol {tol}",
-                    g.measure, (f - q).abs()
-                );
-            }
+        let mut qb = bank.clone();
+        qb.quantize(QuantScheme::F16).unwrap();
+        let qfeats = transform_series(&qb, &series).unwrap();
+        for (col, (&f, &q)) in full.iter().zip(&qfeats).enumerate() {
+            let (gi, k) = bank.feature_to_shapelet(col).unwrap();
+            let g = &bank.groups()[gi];
+            let orig = g.shapelets.row(k);
+            let deq = qb.groups()[gi].shapelets.row(k);
+            let eps = orig
+                .iter()
+                .zip(deq)
+                .map(|(&a, &b)| (a - b).abs())
+                .fold(0f32, f32::max);
+            let a_max = orig.iter().fold(0f32, |a, &x| a.max(x.abs()));
+            let s_norm = orig.iter().map(|&x| x * x).sum::<f32>().sqrt();
+            let width = (bank.d * g.len) as f32;
+            // Additive slack for f32 kernel rounding (both paths
+            // accumulate in f32 with different association).
+            let slack = 1e-4 * (1.0 + f.abs());
+            let tol = match g.measure {
+                // |√a − √b| ≤ √|a − b|; the inner /width cancels one
+                // width factor of the Δ bounds.
+                Measure::Euclidean => {
+                    (2.0 * m_series * eps + 2.0 * a_max * eps + eps * eps).sqrt() + slack
+                }
+                // |cos(w, s_q) − cos(w, s)| ≤ 2·‖Δs‖ / ‖s‖.
+                Measure::Cosine => {
+                    2.0 * width.sqrt() * eps / s_norm.max(1e-6) + slack
+                }
+                Measure::CrossCorrelation => m_series * eps + slack,
+            };
+            prop_assert!(
+                (f - q).abs() <= tol,
+                "col {col} ({:?}): quant {q} vs full {f}, |Δ|={} > tol {tol}",
+                g.measure, (f - q).abs()
+            );
         }
     }
 
@@ -226,7 +224,7 @@ proptest! {
     ) {
         // Argmin agreement on data with a planted ground truth: the exact
         // copy of a shapelet buried in a hostile background must be located
-        // at the same window by the f32 and both quantized banks.
+        // at the same window by the f32 and the quantized bank.
         let mut rng = seeded(seed);
         let cfg = ShapeletConfig {
             lengths: vec![len],
@@ -243,13 +241,11 @@ proptest! {
         let series = TimeSeries::univariate(vals);
         let full = crate::matching::best_match(&bank, 0, 0, &series);
         prop_assert_eq!(full.start, pos);
-        for scheme in [QuantScheme::F16, QuantScheme::I16] {
-            let mut qb = bank.clone();
-            qb.quantize(scheme).unwrap();
-            let m = crate::matching::best_match(&qb, 0, 0, &series);
-            prop_assert_eq!(m.start, pos, "{:?} seed {}", scheme, seed);
-            prop_assert!(m.score < 1e-2, "{:?}: planted match score {}", scheme, m.score);
-        }
+        let mut qb = bank.clone();
+        qb.quantize(QuantScheme::F16).unwrap();
+        let m = crate::matching::best_match(&qb, 0, 0, &series);
+        prop_assert_eq!(m.start, pos, "seed {}", seed);
+        prop_assert!(m.score < 1e-2, "planted match score {}", m.score);
     }
 
     #[test]
@@ -267,17 +263,15 @@ proptest! {
             })
             .collect();
         let ds = Dataset::unlabeled("quant-batch", all.clone());
-        for scheme in [QuantScheme::F16, QuantScheme::I16] {
-            let mut qb = bank.clone();
-            qb.quantize(scheme).unwrap();
-            let batch = transform_dataset(&qb, &ds).unwrap();
-            for (i, s) in all.iter().enumerate() {
-                let one = transform_series(&qb, s).unwrap();
-                prop_assert_eq!(
-                    batch.row(i), one.as_slice(),
-                    "{:?} series {} batch/single mismatch", scheme, i
-                );
-            }
+        let mut qb = bank.clone();
+        qb.quantize(QuantScheme::F16).unwrap();
+        let batch = transform_dataset(&qb, &ds).unwrap();
+        for (i, s) in all.iter().enumerate() {
+            let one = transform_series(&qb, s).unwrap();
+            prop_assert_eq!(
+                batch.row(i), one.as_slice(),
+                "series {} batch/single mismatch", i
+            );
         }
     }
 

@@ -7,15 +7,14 @@
 //!
 //! [`transform_series`] runs the fused streaming kernel of [`crate::fused`]:
 //! no window matrix is materialized, window norms come from one prefix-sum
-//! pass per scale, and shapelet norms from the bank's cached
-//! [`precomputation`](ShapeletBank::precomputed).
+//! pass per scale, and shapelet norms and taps (at the bank's precision)
+//! from the bank's cached [`precomputation`](ShapeletBank::precomputed).
 //! [`transform_series_oracle`] keeps the original unfold-based formulation
 //! as the reference the fused path is property-tested against (and as the
 //! naive baseline of the benchmark trajectory).
 
 use crate::bank::ShapeletBank;
 use crate::fused::{pool_group, ScaleWindows};
-use crate::quant::pool_measure_quant;
 use tcsl_data::{Dataset, TimeSeries};
 use tcsl_error::{TcslError, TcslResult};
 use tcsl_tensor::parallel::parallel_map;
@@ -92,23 +91,6 @@ pub fn transform_series_unchecked(bank: &ShapeletBank, series: &TimeSeries) -> V
     // The per-scale window state (padded buffer + prefix-sum norms) is
     // shared between the measures of one scale.
     let mut cached: Option<ScaleWindows> = None;
-    // A quantized bank pools through the half-width tap storage; the f32
-    // repack is never built.
-    if let Some(qps) = bank.quantized() {
-        for (gi, g) in bank.groups().iter().enumerate() {
-            if !cached
-                .as_ref()
-                .is_some_and(|sw| sw.matches(g.len, g.stride))
-            {
-                cached = Some(ScaleWindows::new(series.values(), g.len, g.stride));
-            }
-            #[allow(clippy::disallowed_methods)] // populated on the previous line
-            let sw = cached.as_ref().expect("just populated");
-            let (pooled, _args) = pool_measure_quant(sw, g.measure, &qps[gi]);
-            features.extend_from_slice(&pooled);
-        }
-        return features;
-    }
     let pre = bank.precomputed();
     for (gi, g) in bank.groups().iter().enumerate() {
         if !cached

@@ -1,13 +1,19 @@
-//! Half-precision / fixed-point tap storage and mixed-precision dot kernels.
+//! Half-precision tap storage and the tap-element trait of the fused
+//! shapelet engine.
 //!
 //! The fused shapelet transform is memory-traffic-bound at serving shapes:
 //! the hot stream is the repacked tap rows, re-read once per window. Storing
-//! those taps at half width (IEEE 754 binary16, or i16 fixed-point with a
-//! per-shapelet scale) halves the bytes streamed; the kernels here dequantize
-//! **in-register** and accumulate in f32, so precision is only lost at the
-//! one rounding step when the bank is quantized — never in the accumulation.
+//! those taps as IEEE 754 binary16 halves the bytes streamed; the kernels
+//! here dequantize **in-register** and accumulate in f32, so precision is
+//! only lost at the one rounding step when the bank is quantized — never in
+//! the accumulation.
 //!
-//! Two invariants every kernel in this module maintains:
+//! [`TapElem`] is the one seam between the engine and the tap width: it is
+//! implemented for `f32` (the [`crate::matmul`] kernels, unchanged) and for
+//! `u16` holding binary16 bits (the mixed-precision kernels below), and the
+//! window-level loops of [`crate::window`] are written once, generic over it.
+//!
+//! Two invariants every kernel maintains:
 //!
 //! * **f32 accumulation.** Products and sums are computed in f32 exactly like
 //!   the [`crate::matmul`] kernels; only the stored taps are narrow.
@@ -15,48 +21,19 @@
 //!   decision depends only on the operand length and the host CPU, so the
 //!   same operands give bit-identical results at every call site and for any
 //!   `TCSL_THREADS`.
-//!
-//! The i16 kernels return the **unscaled** integer-weighted sum `Σ w·q` (in
-//! f32); the caller multiplies by the per-shapelet scale once per dot
-//! product, after summing across variables. This keeps the hot loop free of
-//! per-element scale multiplies and makes the scale exactly one rounding.
 
-use crate::tensor::Tensor;
-
-/// How a quantized tap row is stored. Both schemes use 2 bytes per tap —
-/// half the f32 stream — and differ in where the dynamic range lives:
-/// `F16` keeps a per-value exponent, `I16` spends all 15 magnitude bits on
-/// mantissa and shares one scale across the shapelet row.
+/// How a quantized tap row is stored: IEEE 754 binary16 (1 sign, 5
+/// exponent, 10 mantissa bits), half the f32 stream. Relative error ≤ 2⁻¹¹
+/// per tap over the normal range; values of magnitude above [`F16_MAX`] are
+/// not representable.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum QuantScheme {
-    /// IEEE 754 binary16 (1 sign, 5 exponent, 10 mantissa bits). Relative
-    /// error ≤ 2⁻¹¹ per tap over the normal range; values of magnitude
-    /// above [`F16_MAX`] are not representable.
+    /// IEEE 754 binary16 taps.
     F16,
-    /// Fixed-point i16 with a per-shapelet-row scale `s = max|x| / 32767`;
-    /// stored value `q = round(x / s)`. Absolute error ≤ s/2 per tap.
-    I16,
 }
 
 impl QuantScheme {
-    /// Stable lowercase name used by the model format and bench JSON.
-    pub fn name(self) -> &'static str {
-        match self {
-            QuantScheme::F16 => "f16",
-            QuantScheme::I16 => "i16",
-        }
-    }
-
-    /// Parses [`Self::name`] output; `None` for anything else.
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "f16" => Some(QuantScheme::F16),
-            "i16" => Some(QuantScheme::I16),
-            _ => None,
-        }
-    }
-
-    /// Bytes each stored tap occupies (2 for both schemes).
+    /// Bytes each stored tap occupies.
     pub fn bytes_per_tap(self) -> usize {
         2
     }
@@ -65,14 +42,15 @@ impl QuantScheme {
 /// Largest finite value representable in IEEE 754 binary16.
 pub const F16_MAX: f32 = 65504.0;
 
-/// Below this length the call into the runtime-detected intrinsics path
-/// costs more than it saves (same rationale and value as the f32 kernels'
-/// `FMA_MIN_LEN`, so the quantized and full-precision paths flip between
-/// SIMD and scalar at the same operand length). Callers holding half-width
-/// taps should prefer a dequantized f32 row below this length: the scalar
-/// fallbacks here pay a per-element software conversion that the f32
-/// scalar kernel does not, and a sub-64-element row is cache-resident
-/// anyway, so storing it at half width saves no memory traffic.
+/// Below this per-variable span the call into the runtime-detected
+/// intrinsics path costs more than it saves (same rationale and value as the
+/// f32 kernels' `FMA_MIN_LEN`, so the quantized and full-precision paths flip
+/// between SIMD and scalar at the same operand length). Half-width taps only
+/// pay from this length on: the scalar fallback pays a per-element software
+/// conversion that the f32 scalar kernel does not, and a shorter span is
+/// cache-resident anyway, so storing it at half width saves no traffic. The
+/// bank therefore stores shorter groups at f32 (see
+/// `tcsl_shapelet::ShapeletBank::precomputed`).
 pub const QUANT_MIN_LEN: usize = 64;
 
 /// Operand length above which the 512-bit f16 kernel takes over from the
@@ -162,71 +140,198 @@ pub fn f16_to_f32(bits: u16) -> f32 {
     f32::from_bits(out)
 }
 
-/// [`f32_to_f16`] over a slice.
-pub fn quantize_f16(src: &[f32]) -> Vec<u16> {
-    src.iter().map(|&x| f32_to_f16(x)).collect()
-}
-
-/// [`f16_to_f32`] over a slice.
-pub fn dequantize_f16(src: &[u16]) -> Vec<f32> {
-    src.iter().map(|&b| f16_to_f32(b)).collect()
-}
-
 // ---------------------------------------------------------------------------
-// i16 fixed-point quantization
+// the tap-element trait
 // ---------------------------------------------------------------------------
 
-/// Per-row scale for i16 quantization: `max|x| / 32767`, or `1.0` for an
-/// all-zero row (any positive scale represents zeros exactly; 1.0 keeps the
-/// text format canonical).
-pub fn i16_scale(src: &[f32]) -> f32 {
-    let max_abs = src.iter().fold(0.0f32, |m, &x| m.max(x.abs()));
-    if max_abs == 0.0 {
-        1.0
-    } else {
-        max_abs / 32767.0
-    }
+mod sealed {
+    pub trait Sealed {}
+    impl Sealed for f32 {}
+    impl Sealed for u16 {}
 }
 
-/// Quantizes a row to i16 with the given scale: `q = round(x / scale)`.
-/// With `scale = `[`i16_scale`]`(src)` every quotient lands in
-/// `[-32767, 32767]`, so the cast never saturates.
-pub fn quantize_i16(src: &[f32], scale: f32) -> Vec<i16> {
-    src.iter().map(|&x| (x / scale).round() as i16).collect()
-}
-
-/// Dequantizes an i16 row: `x ≈ q · scale`.
-pub fn dequantize_i16(src: &[i16], scale: f32) -> Vec<f32> {
-    src.iter().map(|&q| q as f32 * scale).collect()
-}
-
-// ---------------------------------------------------------------------------
-// mixed-precision dot kernels
-// ---------------------------------------------------------------------------
-
-/// Dot product of an f32 window against a binary16 tap row, dequantizing
-/// in-register and accumulating in f32.
+/// An element the fused shapelet engine can store tap rows in: `f32`, or
+/// `u16` holding IEEE 754 binary16 bits. Each implementation supplies the
+/// dot kernels for its width and the `dot.dispatch.*` accounting that
+/// mirrors their length-only dispatch, so one generic engine serves both
+/// precisions without changing either's accumulation order.
 ///
-/// Dispatches to the AVX-512F `vcvtph2ps`-to-16-lanes kernel first (one
-/// 32-byte load + one convert + one FMA per 16 taps — the lowest µop count
-/// per element of any path), then the AVX2+F16C kernel (one 32-byte load
-/// carries 16 taps — half the tap load µops of the f32 path), else to
-/// [`dot_f16_scalar`].
-#[inline]
-pub fn dot_f16(a: &[f32], b: &[u16]) -> f32 {
-    debug_assert_eq!(a.len(), b.len());
-    #[cfg(target_arch = "x86_64")]
-    {
-        if a.len() >= QUANT_AVX512_F16_MIN_LEN && x86::avx512_f16_available() {
-            // SAFETY: gated on runtime detection of avx512f+f16c.
-            return unsafe { x86::dot_f16_avx512(a, b) };
+/// Sealed: the engine's bit-exactness contracts (pair and quad blocks
+/// bit-identical to single dots, localization equal to pooling) are proven
+/// for these two kernel families only.
+pub trait TapElem: sealed::Sealed + Copy + Default + Send + Sync + 'static {
+    /// Stores one f32 tap (exact for `f32`; round-to-nearest-even to
+    /// binary16 for `u16`).
+    fn from_f32(x: f32) -> Self;
+
+    /// Dot product of an f32 window against a tap row, accumulated in f32.
+    fn dot(a: &[f32], b: &[Self]) -> f32;
+
+    /// Four dot products sharing the window operand `w`.
+    fn dot4(w: &[f32], t: [&[Self]; 4]) -> [f32; 4];
+
+    /// Whether [`Self::dot2`] / [`Self::dot2x4`] have a fused shared-load
+    /// kernel for per-variable spans of `len` on the running CPU. Narrow
+    /// (2-row) tap blocking only pays when the pair kernel still shares
+    /// every window load across both rows — otherwise it degenerates to two
+    /// single-row dots, which re-stream the window and lose to the 4-row
+    /// block. Callers must derive their block width from this once per
+    /// group, so pooling and localization agree.
+    fn paired_kernel_available(len: usize) -> bool {
+        let _ = len;
+        false
+    }
+
+    /// Two dot products sharing the window operand; each row's value is
+    /// bit-identical to [`Self::dot`]'s whichever block width streams it.
+    fn dot2(w: &[f32], t: [&[Self]; 2]) -> [f32; 2] {
+        [Self::dot(w, t[0]), Self::dot(w, t[1])]
+    }
+
+    /// [`Self::dot2`] against four windows at once; returns `out[w][row]`,
+    /// each entry bit-identical to the per-window [`Self::dot2`] value.
+    fn dot2x4(ws: [&[f32]; 4], t: [&[Self]; 2]) -> [[f32; 2]; 4] {
+        ws.map(|w| Self::dot2(w, t))
+    }
+
+    /// Records `n` dot products of operand length `len` against the
+    /// `dot.dispatch.*` counters — the same length-only decision the
+    /// kernels make, hoisted out so hot loops pay one enabled-gate check per
+    /// batch.
+    fn count_dispatch(len: usize, n: u64);
+}
+
+impl TapElem for f32 {
+    #[inline]
+    fn from_f32(x: f32) -> f32 {
+        x
+    }
+
+    #[inline]
+    fn dot(a: &[f32], b: &[f32]) -> f32 {
+        crate::matmul::dot(a, b)
+    }
+
+    #[inline]
+    fn dot4(w: &[f32], t: [&[f32]; 4]) -> [f32; 4] {
+        crate::matmul::dot4(w, t[0], t[1], t[2], t[3])
+    }
+
+    #[inline]
+    fn count_dispatch(len: usize, n: u64) {
+        crate::matmul::count_dot_dispatch(len, n);
+    }
+}
+
+/// Binary16 taps. `dot` and `dot4` dispatch to the AVX-512F
+/// `vcvtph2ps`-to-16-lanes kernels first (one 32-byte load + one convert +
+/// one FMA per 16 taps — the lowest µop count per element of any path), then
+/// the AVX2+F16C kernels (one 32-byte load carries 16 taps — half the tap
+/// load µops of the f32 path), else to the portable scalar kernel. The pair
+/// kernels exist on the AVX-512 tier only.
+impl TapElem for u16 {
+    #[inline]
+    fn from_f32(x: f32) -> u16 {
+        f32_to_f16(x)
+    }
+
+    #[inline]
+    fn dot(a: &[f32], b: &[u16]) -> f32 {
+        debug_assert_eq!(a.len(), b.len());
+        #[cfg(target_arch = "x86_64")]
+        {
+            if a.len() >= QUANT_AVX512_F16_MIN_LEN && x86::avx512_f16_available() {
+                // SAFETY: gated on runtime detection of avx512f+f16c.
+                return unsafe { x86::dot_f16_avx512(a, b) };
+            }
+            if a.len() >= QUANT_MIN_LEN && x86::f16c_available() {
+                // SAFETY: gated on runtime detection of avx2+fma+f16c.
+                return unsafe { x86::dot_f16_f16c(a, b) };
+            }
         }
-        if a.len() >= QUANT_MIN_LEN && x86::f16c_available() {
-            // SAFETY: gated on runtime detection of avx2+fma+f16c.
-            return unsafe { x86::dot_f16_f16c(a, b) };
+        dot_f16_scalar(a, b)
+    }
+
+    #[inline]
+    fn dot4(w: &[f32], t: [&[u16]; 4]) -> [f32; 4] {
+        debug_assert!(t.iter().all(|r| r.len() == w.len()));
+        #[cfg(target_arch = "x86_64")]
+        {
+            if w.len() >= QUANT_AVX512_F16_MIN_LEN && x86::avx512_f16_available() {
+                // SAFETY: gated on runtime detection of avx512f+f16c.
+                return unsafe { x86::dot4_f16_avx512(w, t) };
+            }
+            if w.len() >= QUANT_MIN_LEN && x86::f16c_available() {
+                // SAFETY: gated on runtime detection of avx2+fma+f16c.
+                return unsafe { x86::dot4_f16_f16c(w, t) };
+            }
+        }
+        t.map(|r| dot_f16_scalar(w, r))
+    }
+
+    #[inline]
+    fn paired_kernel_available(len: usize) -> bool {
+        #[cfg(target_arch = "x86_64")]
+        {
+            len >= QUANT_AVX512_F16_MIN_LEN && x86::avx512_f16_available()
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        {
+            let _ = len;
+            false
         }
     }
-    dot_f16_scalar(a, b)
+
+    /// Per-row accumulation structure matches [`Self::dot4`]'s AVX-512 path
+    /// exactly, so a row's dot product is bit-identical whichever block
+    /// width streams it.
+    #[inline]
+    fn dot2(w: &[f32], t: [&[u16]; 2]) -> [f32; 2] {
+        debug_assert!(t.iter().all(|r| r.len() == w.len()));
+        #[cfg(target_arch = "x86_64")]
+        if w.len() >= QUANT_AVX512_F16_MIN_LEN && x86::avx512_f16_available() {
+            // SAFETY: gated on runtime detection of avx512f+f16c.
+            return unsafe { x86::dot2_f16_avx512(w, t) };
+        }
+        [Self::dot(w, t[0]), Self::dot(w, t[1])]
+    }
+
+    /// Shares every tap load and f16→f32 conversion across the four
+    /// windows, cutting the non-FMA µop count per MAC to a quarter — the
+    /// lever that matters once the tap set is L1-resident and the kernel is
+    /// µop-throughput-bound. Each of the eight (window, row) dots keeps the
+    /// exact accumulation order of [`Self::dot2`]'s AVX-512 path.
+    #[inline]
+    fn dot2x4(ws: [&[f32]; 4], t: [&[u16]; 2]) -> [[f32; 2]; 4] {
+        debug_assert!(ws.iter().all(|w| w.len() == t[0].len()) && t[1].len() == t[0].len());
+        #[cfg(target_arch = "x86_64")]
+        if t[0].len() >= QUANT_AVX512_F16_MIN_LEN && x86::avx512_f16_available() {
+            // SAFETY: gated on runtime detection of avx512f+f16c.
+            return unsafe { x86::dot2x4_f16_avx512(ws, t) };
+        }
+        ws.map(|w| Self::dot2(w, t))
+    }
+
+    #[inline]
+    fn count_dispatch(len: usize, n: u64) {
+        if n == 0 {
+            return;
+        }
+        #[cfg(target_arch = "x86_64")]
+        {
+            if len >= QUANT_AVX512_F16_MIN_LEN && x86::avx512_f16_available() {
+                tcsl_obs::counters::DOT_DISPATCH_F16_AVX512.add(n);
+                return;
+            }
+            if len >= QUANT_MIN_LEN && x86::f16c_available() {
+                tcsl_obs::counters::DOT_DISPATCH_F16C.add(n);
+                return;
+            }
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        let _ = len;
+        tcsl_obs::counters::DOT_DISPATCH_F16_SCALAR.add(n);
+    }
 }
 
 /// Portable f16 dot product mirroring [`crate::matmul::dot_scalar`]'s
@@ -234,7 +339,7 @@ pub fn dot_f16(a: &[f32], b: &[u16]) -> f32 {
 /// produces **bit-identical** results to `dot_scalar` run on the
 /// dequantized taps.
 #[inline]
-pub fn dot_f16_scalar(a: &[f32], b: &[u16]) -> f32 {
+fn dot_f16_scalar(a: &[f32], b: &[u16]) -> f32 {
     debug_assert_eq!(a.len(), b.len());
     let mut acc = [0.0f32; 8];
     let chunks = a.len() / 8;
@@ -251,436 +356,6 @@ pub fn dot_f16_scalar(a: &[f32], b: &[u16]) -> f32 {
     acc.iter().sum::<f32>() + tail
 }
 
-/// Four binary16 dot products sharing the `w` operand — the quantized
-/// sibling of [`crate::matmul::dot4`].
-#[inline]
-pub fn dot4_f16(w: &[f32], t0: &[u16], t1: &[u16], t2: &[u16], t3: &[u16]) -> [f32; 4] {
-    debug_assert!(
-        t0.len() == w.len() && t1.len() == w.len() && t2.len() == w.len() && t3.len() == w.len()
-    );
-    #[cfg(target_arch = "x86_64")]
-    {
-        if w.len() >= QUANT_AVX512_F16_MIN_LEN && x86::avx512_f16_available() {
-            // SAFETY: gated on runtime detection of avx512f+f16c.
-            return unsafe { x86::dot4_f16_avx512(w, t0, t1, t2, t3) };
-        }
-        if w.len() >= QUANT_MIN_LEN && x86::f16c_available() {
-            // SAFETY: gated on runtime detection of avx2+fma+f16c.
-            return unsafe { x86::dot4_f16_f16c(w, t0, t1, t2, t3) };
-        }
-    }
-    [
-        dot_f16_scalar(w, t0),
-        dot_f16_scalar(w, t1),
-        dot_f16_scalar(w, t2),
-        dot_f16_scalar(w, t3),
-    ]
-}
-
-/// Two binary16 dot products sharing the `w` operand — the narrow block
-/// used when a 4-row half-width block would no longer be L1-resident
-/// alongside the series (the caller decides; see
-/// `tcsl_shapelet::quant`). Per-row accumulation structure matches
-/// [`dot4_f16`]'s AVX-512 path exactly, so a row's dot product is
-/// bit-identical whichever block width streams it.
-#[inline]
-pub fn dot2_f16(w: &[f32], t0: &[u16], t1: &[u16]) -> [f32; 2] {
-    debug_assert!(t0.len() == w.len() && t1.len() == w.len());
-    #[cfg(target_arch = "x86_64")]
-    if w.len() >= QUANT_AVX512_F16_MIN_LEN && x86::avx512_f16_available() {
-        // SAFETY: gated on runtime detection of avx512f+f16c.
-        return unsafe { x86::dot2_f16_avx512(w, t0, t1) };
-    }
-    [dot_f16(w, t0), dot_f16(w, t1)]
-}
-
-/// **Unscaled** dot product of an f32 window against an i16 tap row:
-/// returns `Σ wᵢ·qᵢ` in f32; the caller multiplies by the per-shapelet
-/// scale once (after summing variables).
-///
-/// Dispatches AVX-512F/BW first (converts 32 taps per two loads), then
-/// AVX2+FMA (widening converts), then scalar.
-#[inline]
-pub fn dot_i16(a: &[f32], b: &[i16]) -> f32 {
-    debug_assert_eq!(a.len(), b.len());
-    #[cfg(target_arch = "x86_64")]
-    {
-        if a.len() >= QUANT_MIN_LEN && x86::avx512_i16_available() {
-            // SAFETY: gated on runtime detection of avx512f+avx512bw.
-            return unsafe { x86::dot_i16_avx512(a, b) };
-        }
-        if a.len() >= QUANT_MIN_LEN && x86::fma_available() {
-            // SAFETY: gated on runtime detection of avx2+fma.
-            return unsafe { x86::dot_i16_avx2(a, b) };
-        }
-    }
-    dot_i16_scalar(a, b)
-}
-
-/// Portable unscaled i16 dot product (same eight-accumulator shape as
-/// [`crate::matmul::dot_scalar`]).
-#[inline]
-pub fn dot_i16_scalar(a: &[f32], b: &[i16]) -> f32 {
-    debug_assert_eq!(a.len(), b.len());
-    let mut acc = [0.0f32; 8];
-    let chunks = a.len() / 8;
-    for c in 0..chunks {
-        let (x, y) = (&a[c * 8..c * 8 + 8], &b[c * 8..c * 8 + 8]);
-        for l in 0..8 {
-            acc[l] += x[l] * y[l] as f32;
-        }
-    }
-    let mut tail = 0.0f32;
-    for i in chunks * 8..a.len() {
-        tail += a[i] * b[i] as f32;
-    }
-    acc.iter().sum::<f32>() + tail
-}
-
-/// Four unscaled i16 dot products sharing the `w` operand.
-#[inline]
-pub fn dot4_i16(w: &[f32], t0: &[i16], t1: &[i16], t2: &[i16], t3: &[i16]) -> [f32; 4] {
-    debug_assert!(
-        t0.len() == w.len() && t1.len() == w.len() && t2.len() == w.len() && t3.len() == w.len()
-    );
-    #[cfg(target_arch = "x86_64")]
-    {
-        if w.len() >= QUANT_MIN_LEN && x86::avx512_i16_available() {
-            // SAFETY: gated on runtime detection of avx512f+avx512bw.
-            return unsafe { x86::dot4_i16_avx512(w, t0, t1, t2, t3) };
-        }
-        if w.len() >= QUANT_MIN_LEN && x86::fma_available() {
-            // SAFETY: gated on runtime detection of avx2+fma.
-            return unsafe { x86::dot4_i16_avx2(w, t0, t1, t2, t3) };
-        }
-    }
-    [
-        dot_i16_scalar(w, t0),
-        dot_i16_scalar(w, t1),
-        dot_i16_scalar(w, t2),
-        dot_i16_scalar(w, t3),
-    ]
-}
-
-/// Two unscaled i16 dot products sharing the `w` operand — the narrow
-/// block sibling of [`dot2_f16`]; per-row accumulation matches
-/// [`dot4_i16`]'s AVX-512 path exactly.
-#[inline]
-pub fn dot2_i16(w: &[f32], t0: &[i16], t1: &[i16]) -> [f32; 2] {
-    debug_assert!(t0.len() == w.len() && t1.len() == w.len());
-    #[cfg(target_arch = "x86_64")]
-    if w.len() >= QUANT_MIN_LEN && x86::avx512_i16_available() {
-        // SAFETY: gated on runtime detection of avx512f+avx512bw.
-        return unsafe { x86::dot2_i16_avx512(w, t0, t1) };
-    }
-    [dot_i16(w, t0), dot_i16(w, t1)]
-}
-
-/// [`dot2_f16`] against **four** windows at once: shares every tap load and
-/// f16→f32 conversion across the windows, cutting the non-FMA µop count per
-/// MAC to a quarter — the lever that matters once the tap set is
-/// L1-resident and the kernel is µop-throughput-bound. Each of the eight
-/// (window, row) dots keeps the exact accumulation order of [`dot2_f16`]'s
-/// AVX-512 path (two 512-bit chains, 32 elements per iteration, scalar
-/// tail), so values are bit-identical to per-window [`dot2_f16`] calls.
-/// Returns `out[w][row]`.
-#[inline]
-pub fn dot2x4_f16(ws: [&[f32]; 4], t0: &[u16], t1: &[u16]) -> [[f32; 2]; 4] {
-    debug_assert!(ws.iter().all(|w| w.len() == t0.len()) && t1.len() == t0.len());
-    #[cfg(target_arch = "x86_64")]
-    if t0.len() >= QUANT_AVX512_F16_MIN_LEN && x86::avx512_f16_available() {
-        // SAFETY: gated on runtime detection of avx512f+f16c.
-        return unsafe { x86::dot2x4_f16_avx512(ws, t0, t1) };
-    }
-    [
-        dot2_f16(ws[0], t0, t1),
-        dot2_f16(ws[1], t0, t1),
-        dot2_f16(ws[2], t0, t1),
-        dot2_f16(ws[3], t0, t1),
-    ]
-}
-
-/// [`dot2_i16`] against four windows at once (unscaled sums); the i16
-/// sibling of [`dot2x4_f16`]. Sharing the widening-convert chain across
-/// four windows matters more here than for f16: `vcvtdq2ps` competes with
-/// the FMA port, so conversions are the i16 kernel's scarcest resource.
-/// Returns `out[w][row]`.
-#[inline]
-pub fn dot2x4_i16(ws: [&[f32]; 4], t0: &[i16], t1: &[i16]) -> [[f32; 2]; 4] {
-    debug_assert!(ws.iter().all(|w| w.len() == t0.len()) && t1.len() == t0.len());
-    #[cfg(target_arch = "x86_64")]
-    if t0.len() >= QUANT_MIN_LEN && x86::avx512_i16_available() {
-        // SAFETY: gated on runtime detection of avx512f+avx512bw.
-        return unsafe { x86::dot2x4_i16_avx512(ws, t0, t1) };
-    }
-    [
-        dot2_i16(ws[0], t0, t1),
-        dot2_i16(ws[1], t0, t1),
-        dot2_i16(ws[2], t0, t1),
-        dot2_i16(ws[3], t0, t1),
-    ]
-}
-
-/// Whether [`dot2_f16`] / [`dot2_i16`] have a fused shared-load kernel for
-/// per-variable spans of `len` on this machine. Narrow (2-row) tap blocking
-/// only pays when the pair kernel still shares every window load across both
-/// rows — otherwise it degenerates to two single-row dots, which re-stream
-/// the window and lose to the 4-row block. Callers must derive their block
-/// width from this once per group, so pooling and localization agree.
-#[inline]
-pub fn paired_kernel_available(scheme: QuantScheme, len: usize) -> bool {
-    #[cfg(target_arch = "x86_64")]
-    {
-        match scheme {
-            QuantScheme::F16 => len >= QUANT_AVX512_F16_MIN_LEN && x86::avx512_f16_available(),
-            QuantScheme::I16 => len >= QUANT_MIN_LEN && x86::avx512_i16_available(),
-        }
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        let _ = (scheme, len);
-        false
-    }
-}
-
-/// Records `n` quantized dot products of operand length `len` against the
-/// `dot.dispatch.*` counters — the same length-only decision the kernels
-/// above make, hoisted out so hot loops pay one enabled-gate check per
-/// batch (the quantized sibling of [`crate::matmul::count_dot_dispatch`]).
-#[inline]
-pub fn count_quant_dot_dispatch(scheme: QuantScheme, len: usize, n: u64) {
-    if n == 0 {
-        return;
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = len;
-    match scheme {
-        QuantScheme::F16 => {
-            #[cfg(target_arch = "x86_64")]
-            {
-                if len >= QUANT_AVX512_F16_MIN_LEN && x86::avx512_f16_available() {
-                    tcsl_obs::counters::DOT_DISPATCH_F16_AVX512.add(n);
-                    return;
-                }
-                if len >= QUANT_MIN_LEN && x86::f16c_available() {
-                    tcsl_obs::counters::DOT_DISPATCH_F16C.add(n);
-                    return;
-                }
-            }
-            tcsl_obs::counters::DOT_DISPATCH_F16_SCALAR.add(n);
-        }
-        QuantScheme::I16 => {
-            #[cfg(target_arch = "x86_64")]
-            {
-                if len >= QUANT_MIN_LEN && x86::avx512_i16_available() {
-                    tcsl_obs::counters::DOT_DISPATCH_I16_AVX512.add(n);
-                    return;
-                }
-                if len >= QUANT_MIN_LEN && x86::fma_available() {
-                    tcsl_obs::counters::DOT_DISPATCH_I16_AVX2.add(n);
-                    return;
-                }
-            }
-            tcsl_obs::counters::DOT_DISPATCH_I16_SCALAR.add(n);
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// window-level wrappers (quantized siblings of crate::window::window_dot*)
-// ---------------------------------------------------------------------------
-
-/// [`crate::window::window_dot`] with binary16 taps: dot of a flattened
-/// channel-major f16 shapelet row against the window starting at `start`.
-/// Dispatch telemetry is the caller's job ([`count_quant_dot_dispatch`]).
-#[inline]
-pub fn window_dot_f16(series: &Tensor, taps: &[u16], start: usize, len: usize) -> f32 {
-    let d = series.rows();
-    debug_assert_eq!(taps.len(), d * len, "shapelet width mismatch");
-    let mut cross = 0.0f32;
-    for v in 0..d {
-        let row = series.row(v);
-        cross += dot_f16(&row[start..start + len], &taps[v * len..(v + 1) * len]);
-    }
-    cross
-}
-
-/// [`crate::window::window_dot4`] with binary16 taps.
-#[inline]
-pub fn window_dot4_f16(series: &Tensor, taps: [&[u16]; 4], start: usize, len: usize) -> [f32; 4] {
-    let d = series.rows();
-    debug_assert!(
-        taps.iter().all(|t| t.len() == d * len),
-        "shapelet width mismatch"
-    );
-    let mut cross = [0.0f32; 4];
-    for v in 0..d {
-        let row = &series.row(v)[start..start + len];
-        let span = v * len..(v + 1) * len;
-        let r = dot4_f16(
-            row,
-            &taps[0][span.clone()],
-            &taps[1][span.clone()],
-            &taps[2][span.clone()],
-            &taps[3][span],
-        );
-        for (c, x) in cross.iter_mut().zip(r) {
-            *c += x;
-        }
-    }
-    cross
-}
-
-/// [`crate::window::window_dot`] with i16 taps — returns the **unscaled**
-/// sum across all variables; multiply by the shapelet's scale once.
-#[inline]
-pub fn window_dot_i16(series: &Tensor, taps: &[i16], start: usize, len: usize) -> f32 {
-    let d = series.rows();
-    debug_assert_eq!(taps.len(), d * len, "shapelet width mismatch");
-    let mut cross = 0.0f32;
-    for v in 0..d {
-        let row = series.row(v);
-        cross += dot_i16(&row[start..start + len], &taps[v * len..(v + 1) * len]);
-    }
-    cross
-}
-
-/// [`crate::window::window_dot4`] with i16 taps (unscaled sums).
-#[inline]
-pub fn window_dot4_i16(series: &Tensor, taps: [&[i16]; 4], start: usize, len: usize) -> [f32; 4] {
-    let d = series.rows();
-    debug_assert!(
-        taps.iter().all(|t| t.len() == d * len),
-        "shapelet width mismatch"
-    );
-    let mut cross = [0.0f32; 4];
-    for v in 0..d {
-        let row = &series.row(v)[start..start + len];
-        let span = v * len..(v + 1) * len;
-        let r = dot4_i16(
-            row,
-            &taps[0][span.clone()],
-            &taps[1][span.clone()],
-            &taps[2][span.clone()],
-            &taps[3][span],
-        );
-        for (c, x) in cross.iter_mut().zip(r) {
-            *c += x;
-        }
-    }
-    cross
-}
-
-/// [`window_dot4_f16`] with a 2-row tap block.
-#[inline]
-pub fn window_dot2_f16(series: &Tensor, taps: [&[u16]; 2], start: usize, len: usize) -> [f32; 2] {
-    let d = series.rows();
-    debug_assert!(
-        taps.iter().all(|t| t.len() == d * len),
-        "shapelet width mismatch"
-    );
-    let mut cross = [0.0f32; 2];
-    for v in 0..d {
-        let row = &series.row(v)[start..start + len];
-        let span = v * len..(v + 1) * len;
-        let r = dot2_f16(row, &taps[0][span.clone()], &taps[1][span]);
-        for (c, x) in cross.iter_mut().zip(r) {
-            *c += x;
-        }
-    }
-    cross
-}
-
-/// [`window_dot4_i16`] with a 2-row tap block (unscaled sums).
-#[inline]
-pub fn window_dot2_i16(series: &Tensor, taps: [&[i16]; 2], start: usize, len: usize) -> [f32; 2] {
-    let d = series.rows();
-    debug_assert!(
-        taps.iter().all(|t| t.len() == d * len),
-        "shapelet width mismatch"
-    );
-    let mut cross = [0.0f32; 2];
-    for v in 0..d {
-        let row = &series.row(v)[start..start + len];
-        let span = v * len..(v + 1) * len;
-        let r = dot2_i16(row, &taps[0][span.clone()], &taps[1][span]);
-        for (c, x) in cross.iter_mut().zip(r) {
-            *c += x;
-        }
-    }
-    cross
-}
-
-/// [`window_dot2_f16`] against four window positions at once, sharing every
-/// tap load and conversion across them ([`dot2x4_f16`]). Returns
-/// `cross[w][row]`; each entry is bit-identical to the corresponding
-/// single-window [`window_dot2_f16`] value on the AVX-512 path.
-#[inline]
-pub fn window_dot2x4_f16(
-    series: &Tensor,
-    taps: [&[u16]; 2],
-    starts: [usize; 4],
-    len: usize,
-) -> [[f32; 2]; 4] {
-    let d = series.rows();
-    debug_assert!(
-        taps.iter().all(|t| t.len() == d * len),
-        "shapelet width mismatch"
-    );
-    let mut cross = [[0.0f32; 2]; 4];
-    for v in 0..d {
-        let row = series.row(v);
-        let span = v * len..(v + 1) * len;
-        let ws = [
-            &row[starts[0]..starts[0] + len],
-            &row[starts[1]..starts[1] + len],
-            &row[starts[2]..starts[2] + len],
-            &row[starts[3]..starts[3] + len],
-        ];
-        let r = dot2x4_f16(ws, &taps[0][span.clone()], &taps[1][span]);
-        for (c, x) in cross.iter_mut().zip(r) {
-            for (cc, xx) in c.iter_mut().zip(x) {
-                *cc += xx;
-            }
-        }
-    }
-    cross
-}
-
-/// [`window_dot2_i16`] against four window positions at once (unscaled
-/// sums); the i16 sibling of [`window_dot2x4_f16`].
-#[inline]
-pub fn window_dot2x4_i16(
-    series: &Tensor,
-    taps: [&[i16]; 2],
-    starts: [usize; 4],
-    len: usize,
-) -> [[f32; 2]; 4] {
-    let d = series.rows();
-    debug_assert!(
-        taps.iter().all(|t| t.len() == d * len),
-        "shapelet width mismatch"
-    );
-    let mut cross = [[0.0f32; 2]; 4];
-    for v in 0..d {
-        let row = series.row(v);
-        let span = v * len..(v + 1) * len;
-        let ws = [
-            &row[starts[0]..starts[0] + len],
-            &row[starts[1]..starts[1] + len],
-            &row[starts[2]..starts[2] + len],
-            &row[starts[3]..starts[3] + len],
-        ];
-        let r = dot2x4_i16(ws, &taps[0][span.clone()], &taps[1][span]);
-        for (c, x) in cross.iter_mut().zip(r) {
-            for (cc, xx) in c.iter_mut().zip(x) {
-                *cc += xx;
-            }
-        }
-    }
-    cross
-}
-
 #[cfg(target_arch = "x86_64")]
 mod x86 {
     use super::f16_to_f32;
@@ -692,19 +367,6 @@ mod x86 {
         std::arch::is_x86_feature_detected!("avx2")
             && std::arch::is_x86_feature_detected!("fma")
             && std::arch::is_x86_feature_detected!("f16c")
-    }
-
-    /// Cached runtime check for the avx2+fma i16 fallback path.
-    #[inline]
-    pub fn fma_available() -> bool {
-        std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
-    }
-
-    /// Cached runtime check for the avx512f+avx512bw i16 path.
-    #[inline]
-    pub fn avx512_i16_available() -> bool {
-        std::arch::is_x86_feature_detected!("avx512f")
-            && std::arch::is_x86_feature_detected!("avx512bw")
     }
 
     /// Cached runtime check for the avx512f+f16c f16 path (`vcvtph2ps`
@@ -771,16 +433,10 @@ mod x86 {
     /// Requires the `avx2`, `fma` and `f16c` target features at runtime
     /// ([`f16c_available`]); all five slices must be the same length.
     #[target_feature(enable = "avx2", enable = "fma", enable = "f16c")]
-    pub unsafe fn dot4_f16_f16c(
-        w: &[f32],
-        t0: &[u16],
-        t1: &[u16],
-        t2: &[u16],
-        t3: &[u16],
-    ) -> [f32; 4] {
+    pub unsafe fn dot4_f16_f16c(w: &[f32], t: [&[u16]; 4]) -> [f32; 4] {
         let n = w.len();
         let pw = w.as_ptr();
-        let pts = [t0.as_ptr(), t1.as_ptr(), t2.as_ptr(), t3.as_ptr()];
+        let pts = t.map(<[u16]>::as_ptr);
         unsafe {
             let mut acc = [[_mm256_setzero_ps(); 2]; 4];
             let mut i = 0usize;
@@ -855,16 +511,10 @@ mod x86 {
     /// Requires the `avx512f` target feature at runtime
     /// ([`avx512_f16_available`]); all five slices must be the same length.
     #[target_feature(enable = "avx512f")]
-    pub unsafe fn dot4_f16_avx512(
-        w: &[f32],
-        t0: &[u16],
-        t1: &[u16],
-        t2: &[u16],
-        t3: &[u16],
-    ) -> [f32; 4] {
+    pub unsafe fn dot4_f16_avx512(w: &[f32], t: [&[u16]; 4]) -> [f32; 4] {
         let n = w.len();
         let pw = w.as_ptr();
-        let pts = [t0.as_ptr(), t1.as_ptr(), t2.as_ptr(), t3.as_ptr()];
+        let pts = t.map(<[u16]>::as_ptr);
         unsafe {
             let mut acc = [[_mm512_setzero_ps(); 2]; 4];
             let mut i = 0usize;
@@ -903,10 +553,10 @@ mod x86 {
     /// Requires the `avx512f` target feature at runtime
     /// ([`avx512_f16_available`]); all three slices must be the same length.
     #[target_feature(enable = "avx512f")]
-    pub unsafe fn dot2_f16_avx512(w: &[f32], t0: &[u16], t1: &[u16]) -> [f32; 2] {
+    pub unsafe fn dot2_f16_avx512(w: &[f32], t: [&[u16]; 2]) -> [f32; 2] {
         let n = w.len();
         let pw = w.as_ptr();
-        let pts = [t0.as_ptr(), t1.as_ptr()];
+        let pts = t.map(<[u16]>::as_ptr);
         unsafe {
             let mut acc = [[_mm512_setzero_ps(); 2]; 2];
             let mut i = 0usize;
@@ -945,15 +595,10 @@ mod x86 {
     /// Requires the `avx512f` target feature at runtime
     /// ([`avx512_f16_available`]); all six slices must be the same length.
     #[target_feature(enable = "avx512f")]
-    pub unsafe fn dot2x4_f16_avx512(ws: [&[f32]; 4], t0: &[u16], t1: &[u16]) -> [[f32; 2]; 4] {
-        let n = t0.len();
-        let pws = [
-            ws[0].as_ptr(),
-            ws[1].as_ptr(),
-            ws[2].as_ptr(),
-            ws[3].as_ptr(),
-        ];
-        let pts = [t0.as_ptr(), t1.as_ptr()];
+    pub unsafe fn dot2x4_f16_avx512(ws: [&[f32]; 4], t: [&[u16]; 2]) -> [[f32; 2]; 4] {
+        let n = t[0].len();
+        let pws = ws.map(<[f32]>::as_ptr);
+        let pts = t.map(<[u16]>::as_ptr);
         unsafe {
             let mut acc = [[[_mm512_setzero_ps(); 2]; 2]; 4]; // [window][row][chain]
             let mut i = 0usize;
@@ -985,294 +630,21 @@ mod x86 {
             out
         }
     }
-
-    /// AVX-512F/BW unscaled i16 dot product: each 32-byte tap load carries
-    /// 16 values, widened to i32 then converted to f32 in-register.
-    ///
-    /// # Safety
-    ///
-    /// Requires the `avx512f` and `avx512bw` target features at runtime
-    /// ([`avx512_i16_available`]); `a` and `b` must be the same length.
-    #[target_feature(enable = "avx512f", enable = "avx512bw")]
-    pub unsafe fn dot_i16_avx512(a: &[f32], b: &[i16]) -> f32 {
-        let n = a.len();
-        let (pa, pb) = (a.as_ptr(), b.as_ptr());
-        unsafe {
-            let mut acc = [_mm512_setzero_ps(); 2];
-            let mut i = 0usize;
-            while i + 32 <= n {
-                let h0 = _mm256_loadu_si256(pb.add(i) as *const __m256i);
-                let h1 = _mm256_loadu_si256(pb.add(i + 16) as *const __m256i);
-                let f0 = _mm512_cvtepi32_ps(_mm512_cvtepi16_epi32(h0));
-                let f1 = _mm512_cvtepi32_ps(_mm512_cvtepi16_epi32(h1));
-                acc[0] = _mm512_fmadd_ps(_mm512_loadu_ps(pa.add(i)), f0, acc[0]);
-                acc[1] = _mm512_fmadd_ps(_mm512_loadu_ps(pa.add(i + 16)), f1, acc[1]);
-                i += 32;
-            }
-            let mut s = _mm512_reduce_add_ps(_mm512_add_ps(acc[0], acc[1]));
-            while i < n {
-                s += *pa.add(i) * (*pb.add(i) as f32);
-                i += 1;
-            }
-            s
-        }
-    }
-
-    /// Four AVX-512F/BW unscaled i16 dot products sharing the `w` operand.
-    ///
-    /// # Safety
-    ///
-    /// Requires the `avx512f` and `avx512bw` target features at runtime
-    /// ([`avx512_i16_available`]); all five slices must be the same length.
-    #[target_feature(enable = "avx512f", enable = "avx512bw")]
-    pub unsafe fn dot4_i16_avx512(
-        w: &[f32],
-        t0: &[i16],
-        t1: &[i16],
-        t2: &[i16],
-        t3: &[i16],
-    ) -> [f32; 4] {
-        let n = w.len();
-        let pw = w.as_ptr();
-        let pts = [t0.as_ptr(), t1.as_ptr(), t2.as_ptr(), t3.as_ptr()];
-        unsafe {
-            let mut acc = [[_mm512_setzero_ps(); 2]; 4];
-            let mut i = 0usize;
-            while i + 32 <= n {
-                let w0 = _mm512_loadu_ps(pw.add(i));
-                let w1 = _mm512_loadu_ps(pw.add(i + 16));
-                for (j, a) in acc.iter_mut().enumerate() {
-                    let h0 = _mm256_loadu_si256(pts[j].add(i) as *const __m256i);
-                    let h1 = _mm256_loadu_si256(pts[j].add(i + 16) as *const __m256i);
-                    let f0 = _mm512_cvtepi32_ps(_mm512_cvtepi16_epi32(h0));
-                    let f1 = _mm512_cvtepi32_ps(_mm512_cvtepi16_epi32(h1));
-                    a[0] = _mm512_fmadd_ps(w0, f0, a[0]);
-                    a[1] = _mm512_fmadd_ps(w1, f1, a[1]);
-                }
-                i += 32;
-            }
-            let mut out = [0.0f32; 4];
-            for (j, a) in acc.iter().enumerate() {
-                let mut s = _mm512_reduce_add_ps(_mm512_add_ps(a[0], a[1]));
-                let mut k = i;
-                while k < n {
-                    s += *pw.add(k) * (*pts[j].add(k) as f32);
-                    k += 1;
-                }
-                out[j] = s;
-            }
-            out
-        }
-    }
-
-    /// Two AVX-512F/BW unscaled i16 dot products sharing the `w` operand.
-    /// Same per-row accumulation structure as [`dot4_i16_avx512`] so a row's
-    /// dot value is bit-identical regardless of the block width.
-    ///
-    /// # Safety
-    ///
-    /// Requires the `avx512f` and `avx512bw` target features at runtime
-    /// ([`avx512_i16_available`]); all three slices must be the same length.
-    #[target_feature(enable = "avx512f", enable = "avx512bw")]
-    pub unsafe fn dot2_i16_avx512(w: &[f32], t0: &[i16], t1: &[i16]) -> [f32; 2] {
-        let n = w.len();
-        let pw = w.as_ptr();
-        let pts = [t0.as_ptr(), t1.as_ptr()];
-        unsafe {
-            let mut acc = [[_mm512_setzero_ps(); 2]; 2];
-            let mut i = 0usize;
-            while i + 32 <= n {
-                let w0 = _mm512_loadu_ps(pw.add(i));
-                let w1 = _mm512_loadu_ps(pw.add(i + 16));
-                for (j, a) in acc.iter_mut().enumerate() {
-                    let h0 = _mm256_loadu_si256(pts[j].add(i) as *const __m256i);
-                    let h1 = _mm256_loadu_si256(pts[j].add(i + 16) as *const __m256i);
-                    let f0 = _mm512_cvtepi32_ps(_mm512_cvtepi16_epi32(h0));
-                    let f1 = _mm512_cvtepi32_ps(_mm512_cvtepi16_epi32(h1));
-                    a[0] = _mm512_fmadd_ps(w0, f0, a[0]);
-                    a[1] = _mm512_fmadd_ps(w1, f1, a[1]);
-                }
-                i += 32;
-            }
-            let mut out = [0.0f32; 2];
-            for (j, a) in acc.iter().enumerate() {
-                let mut s = _mm512_reduce_add_ps(_mm512_add_ps(a[0], a[1]));
-                let mut k = i;
-                while k < n {
-                    s += *pw.add(k) * (*pts[j].add(k) as f32);
-                    k += 1;
-                }
-                out[j] = s;
-            }
-            out
-        }
-    }
-
-    /// Two AVX-512F/BW unscaled i16 tap rows against four windows; the i16
-    /// sibling of [`dot2x4_f16_avx512`], sharing the widening conversion
-    /// chain across all four windows. Per (window, row) accumulation
-    /// structure matches [`dot2_i16_avx512`].
-    ///
-    /// # Safety
-    ///
-    /// Requires the `avx512f` and `avx512bw` target features at runtime
-    /// ([`avx512_i16_available`]); all six slices must be the same length.
-    #[target_feature(enable = "avx512f", enable = "avx512bw")]
-    pub unsafe fn dot2x4_i16_avx512(ws: [&[f32]; 4], t0: &[i16], t1: &[i16]) -> [[f32; 2]; 4] {
-        let n = t0.len();
-        let pws = [
-            ws[0].as_ptr(),
-            ws[1].as_ptr(),
-            ws[2].as_ptr(),
-            ws[3].as_ptr(),
-        ];
-        let pts = [t0.as_ptr(), t1.as_ptr()];
-        unsafe {
-            let mut acc = [[[_mm512_setzero_ps(); 2]; 2]; 4]; // [window][row][chain]
-            let mut i = 0usize;
-            while i + 32 <= n {
-                for (j, pt) in pts.iter().enumerate() {
-                    let h0 = _mm256_loadu_si256(pt.add(i) as *const __m256i);
-                    let h1 = _mm256_loadu_si256(pt.add(i + 16) as *const __m256i);
-                    let f0 = _mm512_cvtepi32_ps(_mm512_cvtepi16_epi32(h0));
-                    let f1 = _mm512_cvtepi32_ps(_mm512_cvtepi16_epi32(h1));
-                    for (wi, pw) in pws.iter().enumerate() {
-                        let a0 = _mm512_loadu_ps(pw.add(i));
-                        let a1 = _mm512_loadu_ps(pw.add(i + 16));
-                        acc[wi][j][0] = _mm512_fmadd_ps(a0, f0, acc[wi][j][0]);
-                        acc[wi][j][1] = _mm512_fmadd_ps(a1, f1, acc[wi][j][1]);
-                    }
-                }
-                i += 32;
-            }
-            let mut out = [[0.0f32; 2]; 4];
-            for (wi, aw) in acc.iter().enumerate() {
-                for (j, chains) in aw.iter().enumerate() {
-                    let mut s = _mm512_reduce_add_ps(_mm512_add_ps(chains[0], chains[1]));
-                    let mut k = i;
-                    while k < n {
-                        s += *pws[wi].add(k) * (*pts[j].add(k) as f32);
-                        k += 1;
-                    }
-                    out[wi][j] = s;
-                }
-            }
-            out
-        }
-    }
-
-    /// AVX2+FMA unscaled i16 dot product (fallback when AVX-512 is absent):
-    /// widening converts via `vpmovsxwd` + `vcvtdq2ps`.
-    ///
-    /// # Safety
-    ///
-    /// Requires the `avx2` and `fma` target features at runtime
-    /// ([`fma_available`]); `a` and `b` must be the same length.
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub unsafe fn dot_i16_avx2(a: &[f32], b: &[i16]) -> f32 {
-        let n = a.len();
-        let (pa, pb) = (a.as_ptr(), b.as_ptr());
-        unsafe {
-            let mut acc = [_mm256_setzero_ps(); 4];
-            let mut i = 0usize;
-            while i + 32 <= n {
-                for c in 0..2 {
-                    let off = i + c * 16;
-                    let h = _mm256_loadu_si256(pb.add(off) as *const __m256i);
-                    let lo = _mm256_cvtepi32_ps(_mm256_cvtepi16_epi32(_mm256_castsi256_si128(h)));
-                    let hi =
-                        _mm256_cvtepi32_ps(_mm256_cvtepi16_epi32(_mm256_extracti128_si256(h, 1)));
-                    acc[c * 2] = _mm256_fmadd_ps(_mm256_loadu_ps(pa.add(off)), lo, acc[c * 2]);
-                    acc[c * 2 + 1] =
-                        _mm256_fmadd_ps(_mm256_loadu_ps(pa.add(off + 8)), hi, acc[c * 2 + 1]);
-                }
-                i += 32;
-            }
-            while i + 16 <= n {
-                let h = _mm256_loadu_si256(pb.add(i) as *const __m256i);
-                let lo = _mm256_cvtepi32_ps(_mm256_cvtepi16_epi32(_mm256_castsi256_si128(h)));
-                let hi = _mm256_cvtepi32_ps(_mm256_cvtepi16_epi32(_mm256_extracti128_si256(h, 1)));
-                acc[0] = _mm256_fmadd_ps(_mm256_loadu_ps(pa.add(i)), lo, acc[0]);
-                acc[1] = _mm256_fmadd_ps(_mm256_loadu_ps(pa.add(i + 8)), hi, acc[1]);
-                i += 16;
-            }
-            let sum = _mm256_add_ps(_mm256_add_ps(acc[0], acc[1]), _mm256_add_ps(acc[2], acc[3]));
-            let mut lanes = [0.0f32; 8];
-            _mm256_storeu_ps(lanes.as_mut_ptr(), sum);
-            let mut s: f32 = lanes.iter().sum();
-            while i < n {
-                s += *pa.add(i) * (*pb.add(i) as f32);
-                i += 1;
-            }
-            s
-        }
-    }
-
-    /// Four AVX2+FMA unscaled i16 dot products sharing the `w` operand.
-    ///
-    /// # Safety
-    ///
-    /// Requires the `avx2` and `fma` target features at runtime
-    /// ([`fma_available`]); all five slices must be the same length.
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub unsafe fn dot4_i16_avx2(
-        w: &[f32],
-        t0: &[i16],
-        t1: &[i16],
-        t2: &[i16],
-        t3: &[i16],
-    ) -> [f32; 4] {
-        let n = w.len();
-        let pw = w.as_ptr();
-        let pts = [t0.as_ptr(), t1.as_ptr(), t2.as_ptr(), t3.as_ptr()];
-        unsafe {
-            let mut acc = [[_mm256_setzero_ps(); 2]; 4];
-            let mut i = 0usize;
-            while i + 16 <= n {
-                let w0 = _mm256_loadu_ps(pw.add(i));
-                let w1 = _mm256_loadu_ps(pw.add(i + 8));
-                for (j, a) in acc.iter_mut().enumerate() {
-                    let h = _mm256_loadu_si256(pts[j].add(i) as *const __m256i);
-                    let lo = _mm256_cvtepi32_ps(_mm256_cvtepi16_epi32(_mm256_castsi256_si128(h)));
-                    let hi =
-                        _mm256_cvtepi32_ps(_mm256_cvtepi16_epi32(_mm256_extracti128_si256(h, 1)));
-                    a[0] = _mm256_fmadd_ps(w0, lo, a[0]);
-                    a[1] = _mm256_fmadd_ps(w1, hi, a[1]);
-                }
-                i += 16;
-            }
-            let mut out = [0.0f32; 4];
-            for (j, a) in acc.iter().enumerate() {
-                let s8 = _mm256_add_ps(a[0], a[1]);
-                let mut lanes = [0.0f32; 8];
-                _mm256_storeu_ps(lanes.as_mut_ptr(), s8);
-                let mut s: f32 = lanes.iter().sum();
-                let mut k = i;
-                while k < n {
-                    s += *pw.add(k) * (*pts[j].add(k) as f32);
-                    k += 1;
-                }
-                out[j] = s;
-            }
-            out
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::matmul::dot_scalar;
+    use crate::tensor::Tensor;
     use rand::{Rng, SeedableRng};
 
-    #[test]
-    fn scheme_name_parse_round_trip() {
-        for s in [QuantScheme::F16, QuantScheme::I16] {
-            assert_eq!(QuantScheme::parse(s.name()), Some(s));
-            assert_eq!(s.bytes_per_tap(), 2);
-        }
-        assert_eq!(QuantScheme::parse("f32"), None);
-        assert_eq!(QuantScheme::parse(""), None);
+    fn quantize(src: &[f32]) -> Vec<u16> {
+        src.iter().map(|&x| f32_to_f16(x)).collect()
+    }
+
+    fn dequantize(src: &[u16]) -> Vec<f32> {
+        src.iter().map(|&b| f16_to_f32(b)).collect()
     }
 
     #[test]
@@ -1338,43 +710,22 @@ mod tests {
     }
 
     #[test]
-    fn i16_quantization_error_within_half_step() {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(8);
-        let row: Vec<f32> = (0..513).map(|_| (rng.gen::<f32>() - 0.5) * 3.0).collect();
-        let scale = i16_scale(&row);
-        let q = quantize_i16(&row, scale);
-        let back = dequantize_i16(&q, scale);
-        for (&x, &b) in row.iter().zip(&back) {
-            assert!((x - b).abs() <= scale * 0.5 + 1e-9, "{x} vs {b}");
-        }
-        // The max-|x| element quantizes to exactly ±32767.
-        assert_eq!(q.iter().map(|&v| v.abs()).max(), Some(32767));
-    }
-
-    #[test]
-    fn i16_scale_of_zero_row_is_one() {
-        assert_eq!(i16_scale(&[0.0, -0.0, 0.0]), 1.0);
-        assert_eq!(quantize_i16(&[0.0, 0.0], 1.0), vec![0, 0]);
-    }
-
-    #[test]
     fn dot_f16_matches_dequantized_scalar() {
         let mut rng = rand::rngs::StdRng::seed_from_u64(9);
         for n in [0usize, 1, 3, 7, 8, 9, 31, 32, 33, 63, 64, 65, 100, 1023] {
             let a: Vec<f32> = (0..n).map(|_| rng.gen::<f32>() - 0.5).collect();
             let b: Vec<f32> = (0..n).map(|_| rng.gen::<f32>() - 0.5).collect();
-            let bq = quantize_f16(&b);
-            let deq = dequantize_f16(&bq);
-            let want = dot_scalar(&a, &deq);
-            let got = dot_f16(&a, &bq);
+            let bq = quantize(&b);
+            let want = dot_scalar(&a, &dequantize(&bq));
+            let got = u16::dot(&a, &bq);
             let scale = 1.0f32.max(want.abs());
             assert!(
                 (got - want).abs() / scale < 1e-5,
-                "n={n}: dot_f16 {got} vs dequantized scalar {want}"
+                "n={n}: f16 dot {got} vs dequantized scalar {want}"
             );
             // Below the SIMD threshold the scalar path is bit-identical to
             // dot_scalar on the dequantized taps.
-            if n < 64 {
+            if n < QUANT_MIN_LEN {
                 assert_eq!(got.to_bits(), want.to_bits(), "n={n}");
             }
         }
@@ -1386,58 +737,15 @@ mod tests {
         for n in [0usize, 3, 15, 16, 17, 63, 64, 65, 200, 1031] {
             let w: Vec<f32> = (0..n).map(|_| rng.gen::<f32>() - 0.5).collect();
             let ts: Vec<Vec<u16>> = (0..4)
-                .map(|_| quantize_f16(&(0..n).map(|_| rng.gen::<f32>() - 0.5).collect::<Vec<_>>()))
+                .map(|_| quantize(&(0..n).map(|_| rng.gen::<f32>() - 0.5).collect::<Vec<_>>()))
                 .collect();
-            let got = dot4_f16(&w, &ts[0], &ts[1], &ts[2], &ts[3]);
+            let got = u16::dot4(&w, [&ts[0], &ts[1], &ts[2], &ts[3]]);
             for j in 0..4 {
                 let want = dot_f16_scalar(&w, &ts[j]);
                 let scale = 1.0f32.max(want.abs());
                 assert!(
                     (got[j] - want).abs() / scale < 1e-5,
-                    "n={n} j={j}: dot4_f16 {} vs scalar {want}",
-                    got[j]
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn dot_i16_matches_dequantized_scalar() {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(11);
-        for n in [1usize, 7, 8, 31, 33, 63, 64, 65, 100, 1023] {
-            let a: Vec<f32> = (0..n).map(|_| rng.gen::<f32>() - 0.5).collect();
-            let b: Vec<f32> = (0..n).map(|_| (rng.gen::<f32>() - 0.5) * 2.0).collect();
-            let scale = i16_scale(&b);
-            let q = quantize_i16(&b, scale);
-            let deq = dequantize_i16(&q, scale);
-            let want = dot_scalar(&a, &deq);
-            let got = dot_i16(&a, &q) * scale;
-            // The unscaled sum is huge (|q| ≤ 32767); compare relative to
-            // the magnitudes involved.
-            let tol = 1e-5 * (1.0 + a.iter().map(|x| x.abs()).sum::<f32>() * scale * 32767.0);
-            assert!(
-                (got - want).abs() < tol,
-                "n={n}: dot_i16·scale {got} vs dequantized scalar {want}"
-            );
-        }
-    }
-
-    #[test]
-    fn dot4_i16_matches_four_dots() {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(12);
-        for n in [0usize, 3, 16, 63, 64, 65, 200, 1031] {
-            let w: Vec<f32> = (0..n).map(|_| rng.gen::<f32>() - 0.5).collect();
-            let rows: Vec<Vec<f32>> = (0..4)
-                .map(|_| (0..n).map(|_| rng.gen::<f32>() - 0.5).collect())
-                .collect();
-            let qs: Vec<Vec<i16>> = rows.iter().map(|r| quantize_i16(r, i16_scale(r))).collect();
-            let got = dot4_i16(&w, &qs[0], &qs[1], &qs[2], &qs[3]);
-            for j in 0..4 {
-                let want = dot_i16_scalar(&w, &qs[j]);
-                let scale = 1.0f32.max(want.abs());
-                assert!(
-                    (got[j] - want).abs() / scale < 1e-5,
-                    "n={n} j={j}: dot4_i16 {} vs scalar {want}",
+                    "n={n} j={j}: f16 dot4 {} vs scalar {want}",
                     got[j]
                 );
             }
@@ -1446,47 +754,21 @@ mod tests {
 
     #[test]
     fn window_wrappers_match_plain_window_dot_on_dequantized_taps() {
+        use crate::window::{window_dot, window_dot4};
         let mut rng = rand::rngs::StdRng::seed_from_u64(13);
         for &(d, t, len) in &[(1usize, 40usize, 5usize), (3, 300, 80)] {
             let s = Tensor::randn([d, t], &mut rng);
             let bank = Tensor::randn([4, d * len], &mut rng);
-            let f16_rows: Vec<Vec<u16>> = (0..4).map(|j| quantize_f16(bank.row(j))).collect();
-            let scales: Vec<f32> = (0..4).map(|j| i16_scale(bank.row(j))).collect();
-            let i16_rows: Vec<Vec<i16>> = (0..4)
-                .map(|j| quantize_i16(bank.row(j), scales[j]))
-                .collect();
+            let rows: Vec<Vec<u16>> = (0..4).map(|j| quantize(bank.row(j))).collect();
             for w in 0..(t - len + 1) {
-                let g4f = window_dot4_f16(
-                    &s,
-                    [&f16_rows[0], &f16_rows[1], &f16_rows[2], &f16_rows[3]],
-                    w,
-                    len,
-                );
-                let g4i = window_dot4_i16(
-                    &s,
-                    [&i16_rows[0], &i16_rows[1], &i16_rows[2], &i16_rows[3]],
-                    w,
-                    len,
-                );
+                let g4 = window_dot4(&s, [&rows[0], &rows[1], &rows[2], &rows[3]], w, len);
                 for j in 0..4 {
-                    let deq_f = dequantize_f16(&f16_rows[j]);
-                    let want_f = crate::window::window_dot(&s, &deq_f, w, len);
+                    let want = window_dot(&s, &dequantize(&rows[j])[..], w, len);
+                    let tol = 1e-4 * (1.0 + want.abs());
+                    assert!((g4[j] - want).abs() < tol, "w={w} j={j}");
                     assert!(
-                        (g4f[j] - want_f).abs() < 1e-4 * (1.0 + want_f.abs()),
-                        "f16 w={w} j={j}"
-                    );
-                    assert!(
-                        (window_dot_f16(&s, &f16_rows[j], w, len) - want_f).abs()
-                            < 1e-4 * (1.0 + want_f.abs()),
-                        "f16 single w={w} j={j}"
-                    );
-                    let deq_i = dequantize_i16(&i16_rows[j], scales[j]);
-                    let want_i = crate::window::window_dot(&s, &deq_i, w, len);
-                    let tol = 1e-4 * (1.0 + want_i.abs());
-                    assert!((g4i[j] * scales[j] - want_i).abs() < tol, "i16 w={w} j={j}");
-                    assert!(
-                        (window_dot_i16(&s, &i16_rows[j], w, len) * scales[j] - want_i).abs() < tol,
-                        "i16 single w={w} j={j}"
+                        (window_dot(&s, &rows[j][..], w, len) - want).abs() < tol,
+                        "single w={w} j={j}"
                     );
                 }
             }
@@ -1497,45 +779,26 @@ mod tests {
     fn pair_and_quad_kernels_are_bit_identical_to_single_dots() {
         // The 2-row and 2-row×4-window kernels keep each (window, row)
         // dot's accumulation order identical to the single-dot kernels, so
-        // narrow blocking must never change a value — the shapelet engines
-        // rely on this to keep pooling and localization bit-consistent
-        // whatever block width they pick. Lengths straddle both the i16
+        // narrow blocking must never change a value — the shapelet engine
+        // relies on this to keep pooling and localization bit-consistent
+        // whatever block width it picks. Lengths straddle both the SIMD
         // (64) and AVX-512 f16 (1024) dispatch thresholds.
         let mut rng = rand::rngs::StdRng::seed_from_u64(14);
         for n in [64usize, 1023, 1024, 1100, 3277] {
-            let rows: Vec<Vec<f32>> = (0..2)
-                .map(|_| (0..n).map(|_| rng.gen::<f32>() - 0.5).collect())
+            let rows: Vec<Vec<u16>> = (0..2)
+                .map(|_| quantize(&(0..n).map(|_| rng.gen::<f32>() - 0.5).collect::<Vec<_>>()))
                 .collect();
-            let f16s: Vec<Vec<u16>> = rows.iter().map(|r| quantize_f16(r)).collect();
-            let i16s: Vec<Vec<i16>> = rows.iter().map(|r| quantize_i16(r, i16_scale(r))).collect();
+            let t = [&rows[0][..], &rows[1][..]];
             let wins: Vec<Vec<f32>> = (0..4)
                 .map(|_| (0..n).map(|_| rng.gen::<f32>() - 0.5).collect())
                 .collect();
-            for w in &wins {
-                let pf = dot2_f16(w, &f16s[0], &f16s[1]);
-                assert_eq!(pf[0].to_bits(), dot_f16(w, &f16s[0]).to_bits(), "n={n}");
-                assert_eq!(pf[1].to_bits(), dot_f16(w, &f16s[1]).to_bits(), "n={n}");
-                let pi = dot2_i16(w, &i16s[0], &i16s[1]);
-                assert_eq!(pi[0].to_bits(), dot_i16(w, &i16s[0]).to_bits(), "n={n}");
-                assert_eq!(pi[1].to_bits(), dot_i16(w, &i16s[1]).to_bits(), "n={n}");
-            }
             let ws = [&wins[0][..], &wins[1][..], &wins[2][..], &wins[3][..]];
-            let qf = dot2x4_f16(ws, &f16s[0], &f16s[1]);
-            let qi = dot2x4_i16(ws, &i16s[0], &i16s[1]);
+            let quad = u16::dot2x4(ws, t);
             for (wi, w) in ws.iter().enumerate() {
-                let pf = dot2_f16(w, &f16s[0], &f16s[1]);
-                let pi = dot2_i16(w, &i16s[0], &i16s[1]);
+                let pair = u16::dot2(w, t);
                 for j in 0..2 {
-                    assert_eq!(
-                        qf[wi][j].to_bits(),
-                        pf[j].to_bits(),
-                        "f16 n={n} w={wi} j={j}"
-                    );
-                    assert_eq!(
-                        qi[wi][j].to_bits(),
-                        pi[j].to_bits(),
-                        "i16 n={n} w={wi} j={j}"
-                    );
+                    assert_eq!(pair[j].to_bits(), u16::dot(w, t[j]).to_bits(), "n={n}");
+                    assert_eq!(quad[wi][j].to_bits(), pair[j].to_bits(), "n={n} w={wi}");
                 }
             }
         }
@@ -1544,25 +807,25 @@ mod tests {
     #[test]
     fn paired_kernel_availability_is_length_monotone() {
         // Whatever this machine supports, a longer span never *loses* the
-        // fused pair kernel once a shorter one has it.
-        for scheme in [QuantScheme::F16, QuantScheme::I16] {
-            let mut seen = false;
-            for len in [8usize, 64, 1024, 4096] {
-                let avail = paired_kernel_available(scheme, len);
-                assert!(avail || !seen, "{scheme:?} lost pair kernel at {len}");
-                seen = avail;
-            }
+        // fused pair kernel once a shorter one has it; f32 never pairs.
+        let mut seen = false;
+        for len in [8usize, 64, 1024, 4096] {
+            let avail = u16::paired_kernel_available(len);
+            assert!(avail || !seen, "lost pair kernel at {len}");
+            seen = avail;
+            assert!(!f32::paired_kernel_available(len));
         }
     }
 
     #[test]
     fn dispatch_counting_smoke() {
-        // Just exercise both schemes at both sides of the threshold; the
-        // counters are process-global so we only check it doesn't panic.
-        for scheme in [QuantScheme::F16, QuantScheme::I16] {
-            count_quant_dot_dispatch(scheme, 8, 3);
-            count_quant_dot_dispatch(scheme, 4096, 3);
-            count_quant_dot_dispatch(scheme, 4096, 0);
+        // Exercise both widths at both sides of the threshold; the counters
+        // are process-global so we only check it doesn't panic.
+        for len in [8usize, 4096] {
+            u16::count_dispatch(len, 3);
+            f32::count_dispatch(len, 3);
         }
+        u16::count_dispatch(4096, 0);
+        assert_eq!(QuantScheme::F16.bytes_per_tap(), 2);
     }
 }

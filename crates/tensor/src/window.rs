@@ -5,6 +5,7 @@
 //! rows of a matrix so the comparison becomes one `matmul_transb` against the
 //! shapelet bank.
 
+use crate::quant::TapElem;
 use crate::tensor::Tensor;
 
 /// Number of stride-`stride` windows of length `len` in a series of length
@@ -140,29 +141,36 @@ pub fn window_sq_norms(series: &Tensor, len: usize, stride: usize) -> Vec<f32> {
 
 /// Dot product of a flattened channel-major shapelet (layout
 /// `[var0[0..len], var1[0..len], ...]`, matching [`unfold`] rows) against
-/// the window starting at `start`, reading the series in place.
+/// the window starting at `start`, reading the series in place. Generic over
+/// the tap element: `f32` taps run [`crate::matmul::dot`], binary16 taps the
+/// mixed-precision kernels of [`crate::quant`].
 ///
 /// Dispatch telemetry is the caller's job (batch one
-/// [`crate::matmul::count_dot_dispatch`] per window loop): this kernel runs
-/// once per window, and even a disabled gate check here would be measurable.
+/// [`TapElem::count_dispatch`] per window loop): this kernel runs once per
+/// window, and even a disabled gate check here would be measurable.
 #[inline]
-pub fn window_dot(series: &Tensor, shapelet: &[f32], start: usize, len: usize) -> f32 {
+pub fn window_dot<T: TapElem>(series: &Tensor, shapelet: &[T], start: usize, len: usize) -> f32 {
     let d = series.rows();
     debug_assert_eq!(shapelet.len(), d * len, "shapelet width mismatch");
     let mut cross = 0.0f32;
     for v in 0..d {
         let row = series.row(v);
-        cross += crate::matmul::dot(&row[start..start + len], &shapelet[v * len..(v + 1) * len]);
+        cross += T::dot(&row[start..start + len], &shapelet[v * len..(v + 1) * len]);
     }
     cross
 }
 
 /// [`window_dot`] for four shapelets at once, via the load-sharing
-/// [`crate::matmul::dot4`] kernel: the window is streamed through the
-/// registers once and FMA-ed against all four tap rows. Backbone of the
-/// fused transform's shapelet-blocked inner loop.
+/// [`TapElem::dot4`] kernel: the window is streamed through the registers
+/// once and FMA-ed against all four tap rows. Backbone of the fused
+/// transform's shapelet-blocked inner loop.
 #[inline]
-pub fn window_dot4(series: &Tensor, taps: [&[f32]; 4], start: usize, len: usize) -> [f32; 4] {
+pub fn window_dot4<T: TapElem>(
+    series: &Tensor,
+    taps: [&[T]; 4],
+    start: usize,
+    len: usize,
+) -> [f32; 4] {
     let d = series.rows();
     debug_assert!(
         taps.iter().all(|t| t.len() == d * len),
@@ -170,17 +178,73 @@ pub fn window_dot4(series: &Tensor, taps: [&[f32]; 4], start: usize, len: usize)
     );
     let mut cross = [0.0f32; 4];
     for v in 0..d {
-        let row = &series.row(v)[start..start + len];
         let span = v * len..(v + 1) * len;
-        let r = crate::matmul::dot4(
-            row,
-            &taps[0][span.clone()],
-            &taps[1][span.clone()],
-            &taps[2][span.clone()],
-            &taps[3][span],
+        let r = T::dot4(
+            &series.row(v)[start..start + len],
+            taps.map(|t| &t[span.clone()]),
         );
         for (c, x) in cross.iter_mut().zip(r) {
             *c += x;
+        }
+    }
+    cross
+}
+
+/// [`window_dot4`] with a 2-row tap block ([`TapElem::dot2`]).
+#[inline]
+pub fn window_dot2<T: TapElem>(
+    series: &Tensor,
+    taps: [&[T]; 2],
+    start: usize,
+    len: usize,
+) -> [f32; 2] {
+    let d = series.rows();
+    debug_assert!(
+        taps.iter().all(|t| t.len() == d * len),
+        "shapelet width mismatch"
+    );
+    let mut cross = [0.0f32; 2];
+    for v in 0..d {
+        let span = v * len..(v + 1) * len;
+        let r = T::dot2(
+            &series.row(v)[start..start + len],
+            taps.map(|t| &t[span.clone()]),
+        );
+        for (c, x) in cross.iter_mut().zip(r) {
+            *c += x;
+        }
+    }
+    cross
+}
+
+/// [`window_dot2`] against four window positions at once, sharing every tap
+/// load across them ([`TapElem::dot2x4`]). Returns `cross[w][row]`; each
+/// entry is bit-identical to the corresponding single-window
+/// [`window_dot2`] value.
+#[inline]
+pub fn window_dot2x4<T: TapElem>(
+    series: &Tensor,
+    taps: [&[T]; 2],
+    starts: [usize; 4],
+    len: usize,
+) -> [[f32; 2]; 4] {
+    let d = series.rows();
+    debug_assert!(
+        taps.iter().all(|t| t.len() == d * len),
+        "shapelet width mismatch"
+    );
+    let mut cross = [[0.0f32; 2]; 4];
+    for v in 0..d {
+        let row = series.row(v);
+        let span = v * len..(v + 1) * len;
+        let r = T::dot2x4(
+            starts.map(|s| &row[s..s + len]),
+            taps.map(|t| &t[span.clone()]),
+        );
+        for (c, x) in cross.iter_mut().zip(r) {
+            for (cc, xx) in c.iter_mut().zip(x) {
+                *cc += xx;
+            }
         }
     }
     cross

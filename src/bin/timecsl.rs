@@ -4,7 +4,7 @@
 //!
 //! ```text
 //! timecsl pretrain  <train.csv> <model.tcsl> [epochs]   # steps 1–2
-//! timecsl quantize  <model.tcsl> <f16|i16> [out.tcsl]   # half-width taps
+//! timecsl quantize  <model.tcsl> <f16> [out.tcsl]       # half-width taps
 //! timecsl transform <model.tcsl> <data.csv> <out.csv>   # features to CSV
 //! timecsl classify  <model.tcsl> <train.csv> <test.csv> # freeze-mode SVM
 //! timecsl cluster   <model.tcsl> <data.csv> <k>         # freeze-mode k-means
@@ -163,14 +163,12 @@ fn cmd_pretrain(args: &[String]) -> CliResult {
 fn cmd_quantize(args: &[String]) -> CliResult {
     use timecsl::shapelet::BankPrecision;
     let model_path = arg(args, 0, "model.tcsl")?;
-    let precision_arg = arg(args, 1, "precision (f16|i16)")?;
+    let precision_arg = arg(args, 1, "precision (f16)")?;
     let out_path = args.get(2).map(String::as_str).unwrap_or(model_path);
     let scheme = BankPrecision::parse(precision_arg)
         .and_then(BankPrecision::scheme)
         .ok_or_else(|| {
-            TcslError::config(format!(
-                "precision must be f16 or i16, got '{precision_arg}'"
-            ))
+            TcslError::config(format!("precision must be f16, got '{precision_arg}'"))
         })?;
     let mut model = TimeCsl::load(model_path)?;
     let before = model.precision();

@@ -154,9 +154,13 @@ fn hist_section(doc: &JsonValue, path: &str, key: &str) -> TcslResult<BTreeMap<S
 /// Loads and validates one summary file. `Io` when unreadable, `Parse`
 /// when not JSON, `ModelFormat` when the JSON is not a trace summary.
 pub fn load_summary(path: &str) -> TcslResult<TraceSummary> {
-    let body = tcsl_error::read_to_string(path)?;
-    let doc = json::parse(&body)
-        .map_err(|e| TcslError::parse(path.to_string(), e.line, e.msg.clone()))?;
+    parse_summary(&tcsl_error::read_to_string(path)?, path)
+}
+
+/// Parses and validates the text of a summary; `path` names it in errors.
+fn parse_summary(body: &str, path: &str) -> TcslResult<TraceSummary> {
+    let doc =
+        json::parse(body).map_err(|e| TcslError::parse(path.to_string(), e.line, e.msg.clone()))?;
     let schema = doc
         .get("schema")
         .and_then(JsonValue::as_str)
@@ -607,7 +611,8 @@ mod tests {
     /// A v2 summary exercising every section, written through the real
     /// writer path (obs is a test dependency of the facade via the
     /// workspace) would race other tests on the global registries, so this
-    /// fixture is a literal.
+    /// fixture is a literal. Tests parse it in memory: a shared fixture file
+    /// would be rewritten by one test while another reads it.
     const FIXTURE: &str = r#"{"schema":"tcsl-run-trace-v2","run":"timecsl pretrain",
         "counters":{"trainer.pairs":128,"pairdist.tiles":0},
         "sched_counters":{"pool.dispatch":4},
@@ -620,11 +625,7 @@ mod tests {
                  "pretrain/epoch/batch":{"count":16,"total_ns":3200,"min_ns":100,"max_ns":400}}}"#;
 
     fn fixture() -> TraceSummary {
-        let dir = std::env::temp_dir().join("tcsl_trace_tool_tests");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("fixture_summary.json");
-        std::fs::write(&path, FIXTURE).unwrap();
-        load_summary(path.to_str().unwrap()).unwrap()
+        parse_summary(FIXTURE, "fixture").unwrap()
     }
 
     #[test]
