@@ -9,7 +9,7 @@
 //! cargo run --release -p tcsl-bench --bin bench_analyze -- --smoke
 //! ```
 //!
-//! Four cases, mirroring the rewired consumers:
+//! Three cases, mirroring the rewired consumers:
 //!
 //! * `knn_predict` — full-matrix scalar scan + per-row sort + vote (the old
 //!   `KnnClassifier::predict`) vs the heap-bounded streaming top-k path.
@@ -22,10 +22,6 @@
 //!   flip a pick, so bit-equality is not asserted).
 //! * `tsne_affinities` — the old O(N²·F) scalar double loop that fed the
 //!   t-SNE affinity pass vs one `pairdist(x, x)` call.
-//! * `pairdist_pool_modes` — the engine's row-block fan-out on the
-//!   persistent worker pool vs `TCSL_POOL=scoped` per-call thread
-//!   spawning at the same explicit thread count; output matrices must be
-//!   bit-identical across modes (the spawn tax is pure overhead).
 //!
 //! Prints a one-line JSON summary per case and writes the full report to
 //! `BENCH_analyze.json` (see EXPERIMENTS.md for the format).
@@ -260,9 +256,6 @@ fn naive_affinity_matrix(x: &Tensor) -> Vec<f32> {
 
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
-    let host_cores = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1);
     let reps = if smoke { 1 } else { 3 };
     // N ≥ 2000 representation rows in full mode, per the roadmap's
     // "analysis at interactive scale" target.
@@ -388,47 +381,10 @@ fn main() {
         entries.push(e);
     }
 
-    // --- Case 4: pairdist fan-out mode (persistent pool vs scoped spawn)
-    {
-        let (x, _) = blobs(classes, n_tsne_per, dim, 5.0, 51);
-        // The default thread count on a 1-core host is 1 (serial — no
-        // fan-out at all), so pin an explicit count: one context per core,
-        // oversubscribed to 4 on 1-core hosts, matching bench_pretrain.
-        let threads = if host_cores > 1 { host_cores } else { 4 };
-        std::env::set_var("TCSL_THREADS", threads.to_string());
-        let pooled = run_leg(reps, || pairdist(&x, &x));
-        std::env::set_var("TCSL_POOL", "scoped");
-        let scoped = run_leg(reps, || pairdist(&x, &x));
-        std::env::remove_var("TCSL_POOL");
-        std::env::remove_var("TCSL_THREADS");
-        // Row-block ownership is a function of the chunk index alone, so
-        // the fan-out mechanism must never show up in the output bits.
-        let matrices_identical = pooled.value == scoped.value;
-        assert!(
-            matrices_identical,
-            "pairdist_pool_modes: persistent-pool and scoped-spawn matrices differ"
-        );
-        let pool_vs_scoped = scoped.best_secs / pooled.best_secs;
-        let mut e = String::new();
-        let _ = write!(
-            e,
-            "{{\"case\":\"pairdist_pool_modes\",\"n\":{},\"dim\":{},\"threads\":{},\"pooled\":{},\"scoped\":{},\"pool_vs_scoped\":{:.2},\"matrices_identical\":{}}}",
-            x.rows(),
-            dim,
-            threads,
-            leg_json(&pooled),
-            leg_json(&scoped),
-            pool_vs_scoped,
-            matrices_identical
-        );
-        println!("{e}");
-        entries.push(e);
-    }
-
     let report = format!(
-        "{{\"bench\":\"analyze\",\"schema_version\":{},\"host_cores\":{},\"smoke\":{},\"unit_note\":\"naive = pre-engine scalar distance paths (full-matrix scan for kNN, per-point scans for k-means, double loop for affinities); blocked = pairdist engine (norms + AVX2/FMA dot kernels, heap-bounded top-k for kNN); secs are min over {} runs; peak_alloc_mb = high-water mark above pre-call live bytes (min over runs); labels_identical = blocked kNN predictions bit-equal to the naive scan; agreement_nmi compares k-means assignments (k-means++ picks may round differently); pairdist_pool_modes = the same pairdist call fanned out on the persistent pool vs TCSL_POOL=scoped per-call spawning at an explicit thread count, matrices asserted bit-identical\",\"cases\":[\n  {}\n]}}\n",
+        "{{\"bench\":\"analyze\",\"schema_version\":{},\"host\":{},\"smoke\":{},\"unit_note\":\"naive = pre-engine scalar distance paths (full-matrix scan for kNN, per-point scans for k-means, double loop for affinities); blocked = pairdist engine (norms + AVX2/FMA dot kernels, heap-bounded top-k for kNN); secs are min over {} runs; peak_alloc_mb = high-water mark above pre-call live bytes (min over runs); labels_identical = blocked kNN predictions bit-equal to the naive scan; agreement_nmi compares k-means assignments (k-means++ picks may round differently)\",\"cases\":[\n  {}\n]}}\n",
         tcsl_bench::contract::SCHEMA_VERSION,
-        host_cores,
+        tcsl_bench::contract::host_record(),
         smoke,
         reps,
         entries.join(",\n  ")
@@ -438,10 +394,10 @@ fn main() {
         "analyze",
         &report,
         &[
+            "host.cores",
             "cases[].speedup",
             "cases[].blocked.peak_alloc_mb",
             "cases[].labels_identical=true",
-            "cases[].matrices_identical=true",
         ],
     );
 }

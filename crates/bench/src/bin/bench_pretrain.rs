@@ -3,13 +3,9 @@
 //! two legs — plus the fused custom-op training path vs the eager-graph
 //! oracle it replaced, with allocator pressure per leg.
 //!
-//! The parallel leg runs twice: once on the persistent worker pool (the
-//! default) and once with `TCSL_POOL=scoped` forcing the old per-call
-//! spawn path, with bit-equality asserted across all three legs. A
-//! dispatch microbench prices the per-call overhead of each mode (the
-//! spawn tax the pool removes), and one instrumented rep collects the
-//! pool's per-thread busy-time spans (`pool.worker.NN` / `pool.caller`)
-//! into the report.
+//! A dispatch microbench prices the fixed per-call cost of the persistent
+//! worker pool, and one instrumented rep collects the pool's per-thread
+//! busy-time spans (`pool.worker.NN` / `pool.caller`) into the report.
 //!
 //! Run from the repo root:
 //!
@@ -24,7 +20,7 @@
 //! The parallel leg uses one worker per hardware core; on a single-core
 //! host it oversubscribes to 4 threads so the multi-thread code path is
 //! still exercised (the determinism check is then the interesting result —
-//! no speedup is possible, and `host_cores` in the JSON says why).
+//! no speedup is possible, and `host.cores` in the JSON says why).
 
 use std::fmt::Write as _;
 
@@ -154,34 +150,24 @@ fn disabled_overhead_bound(bank0: &ShapeletBank, ds: &Dataset, cfg: &CslConfig) 
     (hits, hits as f64 * per_op)
 }
 
-/// Per-dispatch overhead of the persistent pool vs the scoped-spawn
-/// baseline: times `k` near-empty `parallel_map` calls at `threads`
-/// contexts under each mode and returns `(pool_us, scoped_us)` per
+/// Per-dispatch overhead of the persistent pool: times `k` near-empty
+/// `parallel_map` calls at `threads` contexts and returns microseconds per
 /// dispatch. The work per call is trivial on purpose — what's measured is
-/// the fixed cost of fanning out (waking parked workers vs spawning OS
-/// threads), which is the tax every batch of real work pays.
-fn dispatch_overhead(threads: usize, k: usize) -> (f64, f64) {
+/// the fixed cost of fanning out (waking parked workers), which is the tax
+/// every batch of real work pays.
+fn dispatch_overhead(threads: usize, k: usize) -> f64 {
     std::env::set_var("TCSL_THREADS", threads.to_string());
-    let mut per_dispatch_us = [0.0f64; 2];
-    for (slot, scoped) in [(0usize, false), (1, true)] {
-        if scoped {
-            std::env::set_var("TCSL_POOL", "scoped");
-        } else {
-            std::env::remove_var("TCSL_POOL");
-        }
-        // Warm-up dispatch: the pool's first call pays one-time worker
-        // spawning; that cost is amortized, not per-dispatch.
-        let _ = tcsl_tensor::parallel::parallel_map(threads, |i| i);
-        let watch = Stopwatch::start("bench.dispatch_overhead");
-        for _ in 0..k {
-            let r = tcsl_tensor::parallel::parallel_map(threads, |i| i);
-            std::hint::black_box(&r);
-        }
-        per_dispatch_us[slot] = watch.stop() / k as f64 * 1e6;
+    // Warm-up dispatch: the pool's first call pays one-time worker
+    // spawning; that cost is amortized, not per-dispatch.
+    let _ = tcsl_tensor::parallel::parallel_map(threads, |i| i);
+    let watch = Stopwatch::start("bench.dispatch_overhead");
+    for _ in 0..k {
+        let r = tcsl_tensor::parallel::parallel_map(threads, |i| i);
+        std::hint::black_box(&r);
     }
-    std::env::remove_var("TCSL_POOL");
+    let per_dispatch_us = watch.stop() / k as f64 * 1e6;
     std::env::remove_var("TCSL_THREADS");
-    (per_dispatch_us[0], per_dispatch_us[1])
+    per_dispatch_us
 }
 
 /// One instrumented parallel pretrain rep, returning the pool's
@@ -321,21 +307,6 @@ fn main() {
         );
         let speedup = serial.best_secs / parallel.best_secs;
 
-        // Same thread count, old per-call spawn path: `TCSL_POOL=scoped`
-        // is re-read per dispatch like `TCSL_THREADS`, so flipping it
-        // between legs is race-free here. Results must stay bit-identical
-        // — the pool changes scheduling mechanics, never arithmetic.
-        std::env::set_var("TCSL_POOL", "scoped");
-        let scoped = run_leg(parallel_threads, &bank, &train, &cfg, reps);
-        std::env::remove_var("TCSL_POOL");
-        assert!(
-            legs_identical(&parallel, &scoped),
-            "case {}: persistent-pool and scoped-spawn runs diverged — the \
-             pool broke the index-owned-output contract",
-            case.label
-        );
-        let pool_vs_scoped = scoped.best_secs / parallel.best_secs;
-
         // Per-thread busy time under the pool: one instrumented rep,
         // separate from the timed legs above.
         let thread_spans = per_thread_span_json(parallel_threads, &bank, &train, &cfg);
@@ -361,7 +332,7 @@ fn main() {
         let mut entry = String::new();
         let _ = write!(
             entry,
-            "{{\"case\":\"{}\",\"epochs\":{},\"grains\":{},\"batch_size\":{},\"serial_secs\":{:.4},\"parallel_secs\":{:.4},\"parallel_threads\":{},\"speedup\":{:.2},\"pool_vs_scoped\":{:.2},\"deterministic\":{},\"serial\":{},\"parallel\":{},\"parallel_scoped\":{},\"oracle_serial\":{},\"oracle_over_fused_peak_alloc\":{:.2},\"obs_hits\":{},\"obs_disabled_overhead_frac\":{:.6},\"per_thread_spans\":{},\"losses\":{}}}",
+            "{{\"case\":\"{}\",\"epochs\":{},\"grains\":{},\"batch_size\":{},\"serial_secs\":{:.4},\"parallel_secs\":{:.4},\"parallel_threads\":{},\"speedup\":{:.2},\"deterministic\":{},\"serial\":{},\"parallel\":{},\"oracle_serial\":{},\"oracle_over_fused_peak_alloc\":{:.2},\"obs_hits\":{},\"obs_disabled_overhead_frac\":{:.6},\"per_thread_spans\":{},\"losses\":{}}}",
             case.label,
             case.epochs,
             case.grains.len(),
@@ -370,11 +341,9 @@ fn main() {
             parallel.best_secs,
             parallel_threads,
             speedup,
-            pool_vs_scoped,
             deterministic,
             leg_json(&serial),
             leg_json(&parallel),
-            leg_json(&scoped),
             leg_json(&oracle),
             peak_ratio,
             obs_hits,
@@ -386,23 +355,20 @@ fn main() {
         entries.push(entry);
     }
 
-    // The spawn tax in isolation: fixed per-dispatch cost of each fan-out
-    // mode, independent of any training workload.
+    // The fan-out tax in isolation: fixed per-dispatch cost of the pool,
+    // independent of any training workload.
     let overhead_dispatches = if smoke { 200 } else { 2000 };
-    let (pool_us, scoped_us) = dispatch_overhead(parallel_threads, overhead_dispatches);
     let pool_overhead = format!(
-        "{{\"threads\":{},\"dispatches\":{},\"pool_dispatch_us\":{:.2},\"scoped_dispatch_us\":{:.2},\"spawn_tax\":{:.2}}}",
+        "{{\"threads\":{},\"dispatches\":{},\"pool_dispatch_us\":{:.2}}}",
         parallel_threads,
         overhead_dispatches,
-        pool_us,
-        scoped_us,
-        scoped_us / pool_us.max(1e-9)
+        dispatch_overhead(parallel_threads, overhead_dispatches)
     );
 
     let report = format!(
-        "{{\"bench\":\"pretrain\",\"schema_version\":{},\"host_cores\":{},\"pool_overhead\":{},\"unit_note\":\"serial = TCSL_THREADS=1, parallel = one worker per core (oversubscribed to 4 on 1-core hosts, where no speedup is possible) on the persistent pool; parallel_scoped = same thread count under TCSL_POOL=scoped (per-call thread spawning); oracle_serial = eager-graph diff path (materialized window leaves) on 1 thread; secs are min over {} runs; peak_alloc_mb = high-water mark above pre-call live bytes (min over runs); deterministic = bit-identical losses and final shapelets across legs (also asserted pool vs scoped); pool_overhead prices one near-empty dispatch per mode in microseconds; per_thread_spans = busy-time of each pool context over one instrumented rep\",\"cases\":[\n  {}\n]}}\n",
+        "{{\"bench\":\"pretrain\",\"schema_version\":{},\"host\":{},\"pool_overhead\":{},\"unit_note\":\"serial = TCSL_THREADS=1, parallel = one worker per core (oversubscribed to 4 on 1-core hosts, where no speedup is possible) on the persistent pool; oracle_serial = eager-graph diff path (materialized window leaves) on 1 thread; secs are min over {} runs; peak_alloc_mb = high-water mark above pre-call live bytes (min over runs); deterministic = bit-identical losses and final shapelets, serial vs parallel (asserted); pool_overhead prices one near-empty pool dispatch in microseconds; per_thread_spans = busy-time of each pool context over one instrumented rep\",\"cases\":[\n  {}\n]}}\n",
         tcsl_bench::contract::SCHEMA_VERSION,
-        host_cores,
+        tcsl_bench::contract::host_record(),
         pool_overhead,
         reps,
         entries.join(",\n  ")
@@ -412,10 +378,10 @@ fn main() {
         "pretrain",
         &report,
         &[
+            "host.cores",
             "pool_overhead.pool_dispatch_us",
             "cases[].serial.peak_alloc_mb",
             "cases[].oracle_serial",
-            "cases[].parallel_scoped",
             "cases[].per_thread_spans",
             "cases[].deterministic=true",
         ],

@@ -5,7 +5,8 @@
 //! Run from the repo root:
 //!
 //! ```text
-//! cargo run --release -p tcsl-bench --bin bench_transform
+//! cargo run --release -p tcsl-bench --bin bench_transform          # full
+//! cargo run --release -p tcsl-bench --bin bench_transform -- --smoke
 //! ```
 //!
 //! Prints a one-line JSON summary per configuration and writes the full
@@ -24,17 +25,18 @@ use tcsl_tensor::Tensor;
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
-/// Seconds per call: the fastest of 5 batches, each sized to ~0.2s.
-/// Min-of-batches filters out scheduling noise from shared machines, which
-/// would otherwise dominate the naive/fused ratio run to run.
-fn time_per_call<F: FnMut()>(mut f: F) -> f64 {
+/// Seconds per call: the fastest of `batches` batches, each sized to
+/// ~`batch_secs`. Min-of-batches filters out scheduling noise from shared
+/// machines, which would otherwise dominate the naive/fused ratio run to
+/// run.
+fn time_per_call<F: FnMut()>(mut f: F, (batches, batch_secs): (usize, f64)) -> f64 {
     f(); // warm-up (page in buffers, populate the bank cache)
     let probe = Stopwatch::start("bench.transform_probe");
     f();
     let once = probe.stop();
-    let iters = ((0.2 / once.max(1e-9)) as usize).clamp(2, 4_000);
+    let iters = ((batch_secs / once.max(1e-9)) as usize).clamp(2, 4_000);
     let mut best = f64::INFINITY;
-    for _ in 0..5 {
+    for _ in 0..batches {
         let watch = Stopwatch::start("bench.transform_batch");
         for _ in 0..iters {
             f();
@@ -52,8 +54,8 @@ struct EngineReport {
     bytes_streamed_per_series: u64,
 }
 
-fn profile_engine<F: FnMut()>(mut f: F, bytes_streamed: u64) -> EngineReport {
-    let secs = time_per_call(&mut f);
+fn profile_engine<F: FnMut()>(mut f: F, bytes_streamed: u64, timing: (usize, f64)) -> EngineReport {
+    let secs = time_per_call(&mut f, timing);
     let ((), allocs) = alloc_profile(&mut f);
     EngineReport {
         secs_per_series: secs,
@@ -105,35 +107,48 @@ struct Case {
 }
 
 fn main() {
+    let smoke = std::env::args().any(|a| a == "--smoke");
+    // (batches, seconds per batch): smoke mode only checks the report's
+    // shape.
+    let timing = if smoke { (2, 0.02) } else { (5, 0.2) };
     // The headline configuration of the acceptance criteria — the paper's
     // adaptive config (lengths p·T for p up to 0.8, K=10, stride 1) on a
     // 4096-step series — plus smaller grid points for the trajectory.
-    let cases = vec![
-        Case {
-            label: "adaptive_T512_d1",
-            t: 512,
+    let cases = if smoke {
+        vec![Case {
+            label: "smoke_adaptive_T128_d1",
+            t: 128,
             d: 1,
-            cfg: ShapeletConfig::adaptive(512),
-        },
-        Case {
-            label: "adaptive_T1024_d3",
-            t: 1024,
-            d: 3,
-            cfg: ShapeletConfig::adaptive(1024),
-        },
-        Case {
-            label: "adaptive_T4096_d1",
-            t: 4096,
-            d: 1,
-            cfg: ShapeletConfig::adaptive(4096),
-        },
-        Case {
-            label: "capped256_T4096_d1",
-            t: 4096,
-            d: 1,
-            cfg: ShapeletConfig::adaptive_long(4096, 256),
-        },
-    ];
+            cfg: ShapeletConfig::adaptive(128),
+        }]
+    } else {
+        vec![
+            Case {
+                label: "adaptive_T512_d1",
+                t: 512,
+                d: 1,
+                cfg: ShapeletConfig::adaptive(512),
+            },
+            Case {
+                label: "adaptive_T1024_d3",
+                t: 1024,
+                d: 3,
+                cfg: ShapeletConfig::adaptive(1024),
+            },
+            Case {
+                label: "adaptive_T4096_d1",
+                t: 4096,
+                d: 1,
+                cfg: ShapeletConfig::adaptive(4096),
+            },
+            Case {
+                label: "capped256_T4096_d1",
+                t: 4096,
+                d: 1,
+                cfg: ShapeletConfig::adaptive_long(4096, 256),
+            },
+        ]
+    };
 
     let mut entries = Vec::new();
     for case in &cases {
@@ -147,6 +162,7 @@ fn main() {
                 std::hint::black_box(transform_series_oracle(&bank, &series));
             },
             modeled_bytes_streamed(&bank, case.t, 4, true),
+            timing,
         );
         let fused = profile_engine(
             || {
@@ -155,6 +171,7 @@ fn main() {
                 );
             },
             modeled_bytes_streamed(&bank, case.t, 4, false),
+            timing,
         );
         let speedup = naive.secs_per_series / fused.secs_per_series;
 
@@ -177,8 +194,12 @@ fn main() {
     }
 
     let report = format!(
-        "{{\"bench\":\"transform\",\"schema_version\":{},\"unit_note\":\"naive = unfold+matmul oracle, fused = streaming kernel; peak_alloc_mb = high-water mark above pre-call live bytes\",\"cases\":[\n  {}\n]}}\n",
+        "{{\"bench\":\"transform\",\"schema_version\":{},\"host\":{},\"smoke\":{},\"unit_note\":\"naive = unfold+matmul oracle, fused = streaming kernel; ms_per_series = fastest of {} batches of ~{}s; peak_alloc_mb = high-water mark above pre-call live bytes\",\"cases\":[\n  {}\n]}}\n",
         tcsl_bench::contract::SCHEMA_VERSION,
+        tcsl_bench::contract::host_record(),
+        smoke,
+        timing.0,
+        timing.1,
         entries.join(",\n  ")
     );
     tcsl_bench::contract::write_report(
@@ -186,6 +207,7 @@ fn main() {
         "transform",
         &report,
         &[
+            "host.cores",
             "cases[].speedup",
             "cases[].naive.ms_per_series",
             "cases[].fused.ms_per_series",

@@ -1,8 +1,8 @@
 //! # tcsl-bench
 //!
 //! The experiment harnesses that regenerate every quantitative artefact of
-//! the TimeCSL paper (see DESIGN.md's experiment index), plus criterion
-//! microbenchmarks.
+//! the TimeCSL paper (see DESIGN.md's experiment index), plus the
+//! `bench_*` binaries that write the `BENCH_*.json` reports.
 //!
 //! Binaries (run with `cargo run -p tcsl-bench --release --bin <name>`):
 //!

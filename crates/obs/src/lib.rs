@@ -8,7 +8,7 @@
 //! JSONL run [`trace`] — the instrumentation layer behind the demo's
 //! "diagnose the model" promise and the perf work the ROADMAP calls for.
 //!
-//! Like the `rand`/`proptest`/`criterion` shims, this crate is vendored
+//! Like the `rand`/`proptest` shims, this crate is vendored
 //! offline: it depends on nothing outside `std`, so every other crate in
 //! the workspace (including `tcsl-tensor` at the bottom of the stack) can
 //! depend on it without cycles.

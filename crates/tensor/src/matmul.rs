@@ -36,8 +36,12 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
 ///
 /// On x86-64 with AVX2+FMA (detected at runtime, so portable builds still
 /// work everywhere) this uses the intrinsics path below; elsewhere it falls
-/// back to [`dot_scalar`]. Every scoring engine calls this same function,
-/// so fused/blocked/oracle transforms see identical dot-product rounding.
+/// back to [`dot_scalar`]. Engines that score one row at a time share this
+/// function, so those rows see identical dot-product rounding. [`dot4`] is
+/// not bit-identical to it at length ≥ 64 on the AVX2/FMA tier: its lanes
+/// accumulate in a different order, so a row pooled in a quad block can
+/// differ in the last bits from the same row through `dot`. Below length
+/// 64 both run `dot_scalar` and agree bit for bit.
 #[inline]
 pub fn dot(a: &[f32], b: &[f32]) -> f32 {
     debug_assert_eq!(a.len(), b.len());
@@ -51,8 +55,8 @@ pub fn dot(a: &[f32], b: &[f32]) -> f32 {
 
 /// Below this length the call into the (non-inlinable, runtime-detected)
 /// intrinsics path costs more than it saves; the scalar kernel inlines
-/// into the caller's loop. Dispatch depends only on the length, so every
-/// engine sees the same rounding for the same operands.
+/// into the caller's loop. Dispatch depends only on the length, so a
+/// kernel given the same operands rounds the same at every call site.
 const FMA_MIN_LEN: usize = 64;
 
 /// Records `n` dot products of operand length `len` against the
@@ -104,7 +108,9 @@ pub fn dot_scalar(a: &[f32], b: &[f32]) -> f32 {
 /// loop (4 shapelets of a group per streaming pass).
 ///
 /// Dispatch depends only on the length, so any two call sites given the
-/// same operands produce bit-identical results.
+/// same operands produce bit-identical results. At length ≥ 64 on the
+/// AVX2/FMA tier a lane's value is not bit-identical to [`dot`]'s (see
+/// there).
 #[inline]
 pub fn dot4(w: &[f32], t0: &[f32], t1: &[f32], t2: &[f32], t3: &[f32]) -> [f32; 4] {
     debug_assert!(

@@ -3,17 +3,15 @@
 //! The batch shapelet transform, the training fan-out, the pairwise-distance
 //! engine and the IVF index all map an independent function over many items
 //! (series, pairs, row blocks). [`parallel_map`] and [`parallel_chunks_mut`]
-//! cover that. Since the persistent-pool refactor they dispatch to the
-//! process-wide parked-worker pool in [`crate::pool`] instead of spawning
-//! fresh OS threads per call; the per-call `std::thread::scope`
-//! implementation survives in [`scoped`] as the benchable reference the
-//! pool is measured against (`TCSL_POOL=scoped` routes to it in-process).
+//! cover that, dispatching to the process-wide parked-worker pool in
+//! `crate::pool`. Both run through one claim loop: `parallel_map` is
+//! `parallel_chunks_mut` over its result slots.
 //!
-//! Determinism contract (unchanged from the scoped era): output ownership
-//! is a function of the item/chunk index alone — `parallel_map` writes
-//! result `i` into slot `i`, `parallel_chunks_mut` hands chunk `c` exactly
-//! the range `buf[c·chunk_len ..]` — so results are bit-identical for any
-//! `TCSL_THREADS` setting and either pool mode.
+//! Determinism contract: output ownership is a function of the item/chunk
+//! index alone — `parallel_map` writes result `i` into slot `i`,
+//! `parallel_chunks_mut` hands chunk `c` exactly the range
+//! `buf[c·chunk_len ..]` — so results are bit-identical for any
+//! `TCSL_THREADS` setting.
 
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -55,24 +53,12 @@ fn threads_from_override(raw: Option<&str>, items: usize) -> usize {
     }
 }
 
-/// Whether `TCSL_POOL=scoped` routes dispatches to the per-call
-/// scoped-spawn reference implementation. Re-read per call, like
-/// `TCSL_THREADS`, so benchmarks can compare both modes in-process.
-fn scoped_mode() -> bool {
-    scoped_from_override(std::env::var("TCSL_POOL").ok().as_deref())
-}
-
-/// Pure parsing core of [`scoped_mode`].
-fn scoped_from_override(raw: Option<&str>) -> bool {
-    matches!(raw.map(str::trim), Some("scoped"))
-}
-
 /// Maps `f` over `0..n` on multiple threads, returning results in index
 /// order. `f` must be `Sync` (it is shared by reference across workers).
 ///
-/// Work is claimed dynamically in small blocks via an atomic cursor, so
-/// uneven per-item cost (e.g. variable-length series) balances well; the
-/// result still lands in slot `i` whatever thread computed it.
+/// Work is claimed dynamically in small blocks of `(n / (threads·4)).max(1)`
+/// indices, so uneven per-item cost (e.g. variable-length series) balances
+/// well; the result still lands in slot `i` whatever thread computed it.
 ///
 /// A panicking `f` re-raises on the calling thread after the dispatch has
 /// drained — and the pool stays usable for the next call.
@@ -92,58 +78,21 @@ where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    if n == 0 {
-        return Vec::new();
-    }
     // Nested parallel sections (a body that itself calls parallel_*) run
     // serially: the pool has one job slot, and index-owned outputs make
     // the serial result bit-identical anyway.
-    if threads <= 1 || n == 1 || pool::in_parallel_region() {
+    if threads <= 1 || n <= 1 || pool::in_parallel_region() {
         return (0..n).map(f).collect();
     }
-    if scoped_mode() {
-        return scoped::parallel_map_with(threads, n, f);
-    }
-
-    let mut out: Vec<Option<T>> = (0..n).map(|_| None).collect();
-    let cursor = AtomicUsize::new(0);
+    // Each claim block is one chunk of the slot buffer, so block `c` fills
+    // exactly slots `c·block ..` whichever context claims it.
     let block = (n / (threads * 4)).max(1);
-
-    // Hand each execution context a disjoint set of &mut slots via raw
-    // pointer + index discipline: every index is claimed exactly once from
-    // the atomic cursor. Accessed through a method so the closure captures
-    // the `Sync` wrapper, not the raw pointer field (2021 disjoint capture
-    // would otherwise grab the non-`Sync` pointer itself).
-    struct Slots<T>(*mut Option<T>);
-    unsafe impl<T: Send> Sync for Slots<T> {}
-    impl<T> Slots<T> {
-        fn ptr(&self) -> *mut Option<T> {
-            self.0
+    let mut out: Vec<Option<T>> = (0..n).map(|_| None).collect();
+    parallel_chunks_mut_with(threads, &mut out, block, |c, slots| {
+        for (o, slot) in slots.iter_mut().enumerate() {
+            *slot = Some(f(c * block + o));
         }
-    }
-    let slots = Slots(out.as_mut_ptr());
-
-    let body = || {
-        loop {
-            let start = cursor.fetch_add(block, Ordering::Relaxed);
-            if start >= n {
-                break;
-            }
-            let end = (start + block).min(n);
-            for i in start..end {
-                let v = f(i);
-                // SAFETY: `i` is claimed exactly once across all contexts
-                // (fetch_add hands out disjoint ranges), so no two threads
-                // ever write the same slot, and `out` outlives the
-                // dispatch (dispatch blocks until every worker finished).
-                unsafe { *slots.ptr().add(i) = Some(v) };
-            }
-        }
-    };
-    // The caller participates, so `threads` contexts need `threads - 1`
-    // pool workers.
-    pool::dispatch(threads - 1, &body);
-
+    });
     out.into_iter()
         .map(|v| v.expect("parallel_map: worker failed to fill slot"))
         .collect()
@@ -185,15 +134,15 @@ where
         }
         return;
     }
-    if scoped_mode() {
-        return scoped::parallel_chunks_mut_with(threads, buf, chunk_len, f);
-    }
-
-    // Same raw-pointer + index discipline as `parallel_map`: every chunk
-    // index is claimed exactly once from the atomic cursor, and distinct
-    // indices map to disjoint ranges of `buf`. Method access keeps the
-    // closure capturing the `Sync` wrapper (see `Slots` above).
+    // Hand each execution context disjoint `&mut` ranges via raw pointer +
+    // index discipline. Accessed through a method so the closure captures
+    // the `Sync` wrapper, not the raw pointer field (2021 disjoint capture
+    // would otherwise grab the non-`Sync` pointer itself).
     struct Base<T>(*mut T);
+    // SAFETY: contexts reach `buf` only through chunk ranges, every chunk
+    // index is claimed exactly once from the atomic cursor, and distinct
+    // indices map to disjoint ranges — so each `T: Send` element is touched
+    // by one thread per dispatch.
     unsafe impl<T: Send> Sync for Base<T> {}
     impl<T> Base<T> {
         fn ptr(&self) -> *mut T {
@@ -218,117 +167,9 @@ where
             f(c, chunk);
         }
     };
+    // The caller participates, so `threads` contexts need `threads - 1`
+    // pool workers.
     pool::dispatch(threads - 1, &body);
-}
-
-/// The pre-pool implementations: one `std::thread::scope` spawn per call.
-///
-/// Kept as the measurement baseline for the persistent pool (the
-/// `TCSL_POOL=scoped` escape hatch and the spawn-overhead legs of
-/// `bench_pretrain`/`bench_analyze` route here) — not as a recommended
-/// path. Results are bit-identical to the pooled path for any thread
-/// count: both sides share the index-owned output discipline; only *who*
-/// executes a claim differs, never *where its result lands*.
-pub mod scoped {
-    use super::*;
-
-    /// Per-call scoped-spawn [`parallel_map`](super::parallel_map).
-    pub fn parallel_map_with<T, F>(threads: usize, n: usize, f: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(usize) -> T + Sync,
-    {
-        if n == 0 {
-            return Vec::new();
-        }
-        if threads <= 1 || n == 1 {
-            return (0..n).map(f).collect();
-        }
-        let mut out: Vec<Option<T>> = (0..n).map(|_| None).collect();
-        let cursor = AtomicUsize::new(0);
-        let block = (n / (threads * 4)).max(1);
-        struct Slots<T>(*mut Option<T>);
-        unsafe impl<T: Send> Sync for Slots<T> {}
-        let slots = Slots(out.as_mut_ptr());
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                let f = &f;
-                let cursor = &cursor;
-                let slots = &slots;
-                scope.spawn(move || {
-                    // Freshly spawned per call: worker lifetime == dispatch
-                    // lifetime here, unlike the pool's per-dispatch spans.
-                    let _w = tcsl_obs::spans::span("parallel_scoped.worker");
-                    loop {
-                        let start = cursor.fetch_add(block, Ordering::Relaxed);
-                        if start >= n {
-                            break;
-                        }
-                        let end = (start + block).min(n);
-                        for i in start..end {
-                            let v = f(i);
-                            // SAFETY: `i` is claimed exactly once across all
-                            // workers; `out` outlives the scope.
-                            unsafe { *slots.0.add(i) = Some(v) };
-                        }
-                    }
-                });
-            }
-        });
-        out.into_iter()
-            .map(|v| v.expect("parallel_map: worker failed to fill slot"))
-            .collect()
-    }
-
-    /// Per-call scoped-spawn
-    /// [`parallel_chunks_mut`](super::parallel_chunks_mut).
-    pub fn parallel_chunks_mut_with<T, F>(threads: usize, buf: &mut [T], chunk_len: usize, f: F)
-    where
-        T: Send,
-        F: Fn(usize, &mut [T]) + Sync,
-    {
-        if buf.is_empty() {
-            return;
-        }
-        assert!(chunk_len > 0, "chunk_len must be positive");
-        let len = buf.len();
-        let n_chunks = len.div_ceil(chunk_len);
-        if threads <= 1 || n_chunks == 1 {
-            for (c, chunk) in buf.chunks_mut(chunk_len).enumerate() {
-                f(c, chunk);
-            }
-            return;
-        }
-        struct Base<T>(*mut T);
-        unsafe impl<T: Send> Sync for Base<T> {}
-        let base = Base(buf.as_mut_ptr());
-        let cursor = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                let f = &f;
-                let cursor = &cursor;
-                let base = &base;
-                scope.spawn(move || {
-                    let _w = tcsl_obs::spans::span("parallel_scoped.worker");
-                    loop {
-                        let c = cursor.fetch_add(1, Ordering::Relaxed);
-                        if c >= n_chunks {
-                            break;
-                        }
-                        let start = c * chunk_len;
-                        let end = (start + chunk_len).min(len);
-                        // SAFETY: `c` is claimed exactly once across all
-                        // workers and chunk ranges are pairwise disjoint;
-                        // `buf` outlives the scope.
-                        let chunk = unsafe {
-                            std::slice::from_raw_parts_mut(base.0.add(start), end - start)
-                        };
-                        f(c, chunk);
-                    }
-                });
-            }
-        });
-    }
 }
 
 #[cfg(test)]
@@ -439,18 +280,37 @@ mod tests {
     }
 
     #[test]
-    fn scoped_reference_path_matches_pooled_results() {
-        let want: Vec<usize> = (0..100).map(|i| i ^ 0x5a).collect();
-        assert_eq!(scoped::parallel_map_with(4, 100, |i| i ^ 0x5a), want);
-        let mut pooled = vec![0u32; 100];
-        let mut scoped_buf = vec![0u32; 100];
-        parallel_chunks_mut_with(4, &mut pooled, 7, |c, chunk| {
-            chunk.fill(c as u32);
-        });
-        scoped::parallel_chunks_mut_with(4, &mut scoped_buf, 7, |c, chunk| {
-            chunk.fill(c as u32);
-        });
-        assert_eq!(pooled, scoped_buf);
+    fn every_index_is_claimed_exactly_once() {
+        // The value tests above cannot see an index claimed twice (the
+        // second write stores the same value), so count the calls. n below
+        // threads·4 gives claim block 1; 100 and 257 leave ragged tails.
+        for threads in [2, 3, 7, 16] {
+            for n in [threads * 4 - 1, 100, 257] {
+                let calls: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
+                let got =
+                    parallel_map_with(threads, n, |i| calls[i].fetch_add(1, Ordering::Relaxed));
+                assert_eq!(got, vec![0; n], "threads={threads} n={n}");
+                assert!(
+                    calls.iter().all(|c| c.load(Ordering::Relaxed) == 1),
+                    "parallel_map_with threads={threads} n={n}"
+                );
+
+                let chunk_len = 3;
+                let chunk_calls: Vec<AtomicUsize> = (0..n.div_ceil(chunk_len))
+                    .map(|_| AtomicUsize::new(0))
+                    .collect();
+                let mut visits = vec![0u8; n];
+                parallel_chunks_mut_with(threads, &mut visits, chunk_len, |c, chunk| {
+                    chunk_calls[c].fetch_add(1, Ordering::Relaxed);
+                    chunk.iter_mut().for_each(|v| *v += 1);
+                });
+                assert!(
+                    chunk_calls.iter().all(|c| c.load(Ordering::Relaxed) == 1),
+                    "parallel_chunks_mut_with threads={threads} n={n}"
+                );
+                assert_eq!(visits, vec![1; n], "threads={threads} n={n}");
+            }
+        }
     }
 
     #[test]
@@ -484,19 +344,6 @@ mod tests {
         assert_eq!(
             configured_threads(100),
             threads_from_override(std::env::var("TCSL_THREADS").ok().as_deref(), 100)
-        );
-    }
-
-    #[test]
-    fn pool_mode_override_parses() {
-        assert!(scoped_from_override(Some("scoped")));
-        assert!(scoped_from_override(Some(" scoped ")));
-        assert!(!scoped_from_override(Some("persistent")));
-        assert!(!scoped_from_override(Some("")));
-        assert!(!scoped_from_override(None));
-        assert_eq!(
-            scoped_mode(),
-            scoped_from_override(std::env::var("TCSL_POOL").ok().as_deref())
         );
     }
 }

@@ -156,9 +156,14 @@ mod sealed {
 /// mirrors their length-only dispatch, so one generic engine serves both
 /// precisions without changing either's accumulation order.
 ///
-/// Sealed: the engine's bit-exactness contracts (pair and quad blocks
-/// bit-identical to single dots, localization equal to pooling) are proven
-/// for these two kernel families only.
+/// Sealed: the engine's bit-exactness contracts are proven for these two
+/// kernel families only. Localization equals pooling, and [`Self::dot2`] /
+/// [`Self::dot2x4`] rows are bit-identical to [`Self::dot`] on every tier.
+/// [`Self::dot4`] rows are bit-identical to single dots only below length
+/// 64, where both run the scalar kernel, and on the AVX-512 f16 tier
+/// (length ≥ 1024). On the AVX2/FMA f32 tier and the F16C tier its lanes
+/// accumulate in a different order, so there a shapelet's feature can
+/// depend on whether its row falls in a quad block.
 pub trait TapElem: sealed::Sealed + Copy + Default + Send + Sync + 'static {
     /// Stores one f32 tap (exact for `f32`; round-to-nearest-even to
     /// binary16 for `u16`).
