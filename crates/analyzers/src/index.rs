@@ -11,9 +11,9 @@
 //!
 //! **Determinism contract.** Within the probed candidate set the results
 //! are bit-identical to the exact engine: cell rows are scored by
-//! [`scan_cell_into`], whose `dot4` kernel rounds each pair independently
-//! of how rows are grouped, so a repacked row scores exactly as it does in
-//! the full corpus; the shared bounded-heap total order (`total_cmp`
+//! [`scan_cell_into`], whose kernel rounds each pair independently of how
+//! rows are grouped, so a repacked row scores exactly as it does in the
+//! full corpus; the shared bounded-heap total order (`total_cmp`
 //! distance, then lowest original index) makes the merged shortlist
 //! independent of cell probe order. Consequently `nprobe == nlist` — probe
 //! everything — reproduces the exact engine's neighbour sets *verbatim*:
@@ -142,8 +142,8 @@ impl IvfIndex {
         }
         for (cell, buf) in cells.iter_mut().zip(buffers) {
             cell.rows = Tensor::from_vec(buf, [cell.ids.len(), dim]);
-            // Same dot4 lane path as the engine's norms: bit-identical to
-            // the norm the full-corpus scan computes for each row.
+            // The engine's own norms: bit-identical to the norm the
+            // full-corpus scan computes for each row.
             cell.norms = row_sq_norms(&cell.rows);
         }
         IvfIndex {

@@ -287,9 +287,9 @@ pub fn by_name(name: &str) -> Option<ArchiveEntry> {
     all_entries().into_iter().find(|e| e.name == name)
 }
 
-/// Looks an entry up by name, or returns a [`TcslError::Config`] that
-/// lists every available dataset — the error the CLI shows for a typo'd
-/// dataset name.
+/// Looks an entry up by name, or returns a
+/// [`TcslError::Config`](tcsl_error::TcslError::Config) that lists every
+/// available dataset — the error the CLI shows for a typo'd dataset name.
 pub fn require(name: &str) -> tcsl_error::TcslResult<ArchiveEntry> {
     by_name(name).ok_or_else(|| {
         let names: Vec<&str> = all_entries().iter().map(|e| e.name).collect();

@@ -189,9 +189,9 @@ impl Drop for LocalCounter {
 pub static WINDOW_CACHE_HIT: Counter = Counter::new("window_cache.hit");
 /// Fused-path `WindowCache` miss (a fresh `ScaleWindows` was computed).
 pub static WINDOW_CACHE_MISS: Counter = Counter::new("window_cache.miss");
-/// Dot products dispatched to the runtime AVX2+FMA kernels. Counted in
-/// batches by the callers' loops (`count_dot_dispatch`), never inside
-/// `dot`/`dot4` themselves.
+/// f32 dot products dispatched to the runtime AVX2+FMA kernel tier.
+/// Counted in batches by the callers' loops (`TapElem::count_dispatch`),
+/// never inside the kernels themselves.
 pub static DOT_DISPATCH_AVX2_FMA: Counter = Counter::new("dot.dispatch.avx2_fma");
 /// Dot products that took the portable scalar kernel (same batch counting).
 pub static DOT_DISPATCH_SCALAR: Counter = Counter::new("dot.dispatch.scalar");

@@ -171,7 +171,7 @@ pub mod collection {
     use super::{Strategy, TestRng};
     use rand::Rng;
 
-    /// Sizes accepted by [`vec`]: an exact length or a length range.
+    /// Sizes accepted by [`vec()`]: an exact length or a length range.
     pub trait SizeRange {
         /// Draws a length.
         fn pick(&self, rng: &mut TestRng) -> usize;
@@ -198,7 +198,7 @@ pub mod collection {
         VecStrategy { elem, size }
     }
 
-    /// See [`vec`].
+    /// See [`vec()`].
     pub struct VecStrategy<S, R> {
         elem: S,
         size: R,

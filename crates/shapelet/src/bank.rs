@@ -8,7 +8,8 @@ use std::fmt::Write as _;
 use std::ops::Range;
 use std::sync::OnceLock;
 use tcsl_error::{TcslError, TcslResult};
-use tcsl_tensor::quant::{f16_to_f32, f32_to_f16, QuantScheme, TapElem, F16_MAX, QUANT_MIN_LEN};
+use tcsl_tensor::dot::{TapElem, SIMD_MIN_LEN};
+use tcsl_tensor::quant::{f16_to_f32, f32_to_f16, QuantScheme, F16_MAX};
 use tcsl_tensor::Tensor;
 
 /// One (scale, measure) group of `K` shapelets, stored flattened as a
@@ -227,17 +228,17 @@ impl ShapeletBank {
     ///
     /// This is where each group's tap width is decided, and only here: an
     /// f16 bank streams binary16 taps for groups whose per-variable span is
-    /// at least [`QUANT_MIN_LEN`] — the length the f16 kernels dispatch on —
-    /// and f32 taps of its dequantized rows below it, where half-width
-    /// storage saves no traffic and only the software-conversion scalar
-    /// kernel would run. Both give the values of the f32 engine on the
+    /// at least [`SIMD_MIN_LEN`] — the span from which the kernels run a SIMD
+    /// tier — and f32 taps of its dequantized rows below it, where
+    /// half-width storage saves no traffic and only the software-conversion
+    /// scalar tier would run. Both give the values of the f32 engine on the
     /// dequantized bank; below the threshold bit for bit.
     pub fn precomputed(&self) -> &[GroupPrecomp] {
         self.precomp.get_or_init(|| {
             self.groups
                 .iter()
                 .map(|g| {
-                    if self.precision == BankPrecision::F16 && g.len >= QUANT_MIN_LEN {
+                    if self.precision == BankPrecision::F16 && g.len >= SIMD_MIN_LEN {
                         GroupPrecomp::of_f16(&g.shapelets)
                     } else {
                         GroupPrecomp::of(&g.shapelets)
@@ -361,7 +362,8 @@ impl ShapeletBank {
     /// Builds a sub-bank containing only the shapelets behind the given
     /// feature columns — the demo's "redo the analysis with the selected
     /// shapelets" interaction (§3, step 4). Group order is preserved; empty
-    /// groups are dropped.
+    /// groups are dropped. On any series, the sub-bank's features are the
+    /// selected columns of this bank's features, bit for bit.
     pub fn subset_columns(&self, columns: &[usize]) -> TcslResult<ShapeletBank> {
         if columns.is_empty() {
             return Err(TcslError::empty("feature column selection"));
@@ -400,10 +402,10 @@ impl ShapeletBank {
     /// Prunes near-duplicate shapelets: within each group, a shapelet whose
     /// cosine similarity to an earlier-kept one exceeds `max_cosine` is
     /// dropped. Returns the pruned bank and the surviving feature columns
-    /// (in original column order), so existing feature matrices can be
-    /// subset consistently. Contrastive training can converge several
-    /// shapelets onto the same pattern; pruning keeps the representation
-    /// interpretable without retraining.
+    /// (in original column order); those columns of an existing feature
+    /// matrix are the pruned bank's features, bit for bit. Contrastive
+    /// training can converge several shapelets onto the same pattern;
+    /// pruning keeps the representation interpretable without retraining.
     pub fn prune_redundant(&self, max_cosine: f32) -> TcslResult<(ShapeletBank, Vec<usize>)> {
         if !(0.0..=1.0).contains(&max_cosine) {
             return Err(TcslError::config(format!(
@@ -824,7 +826,7 @@ mod tests {
         // One group below the f16 kernels' span threshold, one at it: the
         // bank streams f32 taps for the first and binary16 for the second.
         let cfg = ShapeletConfig {
-            lengths: vec![QUANT_MIN_LEN - 1, QUANT_MIN_LEN],
+            lengths: vec![SIMD_MIN_LEN - 1, SIMD_MIN_LEN],
             k_per_group: 3,
             measures: vec![Measure::Euclidean],
             stride: 1,

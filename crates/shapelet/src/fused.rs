@@ -7,7 +7,7 @@
 //!
 //! * **Zero-materialization windows** — per-shapelet dot products read the
 //!   overlapping windows directly out of the original contiguous series
-//!   buffer ([`tcsl_tensor::window::window_dot`]).
+//!   buffer ([`tcsl_tensor::window::window_dots`]).
 //! * **Prefix-sum window norms** — one O(T) pass per scale
 //!   ([`tcsl_tensor::window::window_sq_norms`]) yields `‖w‖²` in O(1) per
 //!   window, shared by all shapelets and measures of the scale
@@ -16,14 +16,20 @@
 //!   rows come from
 //!   [`ShapeletBank::precomputed`](crate::ShapeletBank::precomputed), once
 //!   per bank instead of once per series.
-//! * **One engine for every tap width** — the loops are generic over
-//!   [`TapElem`], so an f16 bank's binary16 groups run the same blocking,
-//!   tiling and argmin tie-breaking as f32 groups; only the dot kernel
-//!   differs.
-//! * **Blocked fallback** — when the series is too large to stay cache
-//!   resident across the per-shapelet passes, windows are copied in small
-//!   tiles (a bounded scratch buffer, reused across tiles) and scored
-//!   matmul-style ([`TILE_WINDOWS`]).
+//! * **One block loop for every tap width and engine** — the loops are
+//!   generic over [`TapElem`], so an f16 bank's binary16 groups run the
+//!   same blocking, tiling and argmin tie-breaking as f32 groups; only the
+//!   dot kernel's tap load differs.
+//! * **Blocked engine for large series** — when the series is too large to
+//!   stay cache resident across the per-block passes, each window is copied
+//!   once into a reused scratch row and scored against every shapelet block
+//!   while it sits in L1.
+//!
+//! A kernel entry never depends on which rows share its block
+//! ([`tcsl_tensor::dot`]), and the engine depends on the series alone
+//! (blocked above [`BLOCKED_SERIES_BYTES`]). So a shapelet's feature, its
+//! localization scores and its column in any subset of the bank are the
+//! same bits.
 //!
 //! Peak per-series allocation is O(D·T + N_w + K) — no term proportional
 //! to `N_w × D·len`. All engines funnel scoring through
@@ -33,10 +39,9 @@
 use crate::bank::{GroupPrecomp, GroupTaps, ShapeletGroup, TapRows};
 use crate::measure::Measure;
 use crate::transform::pad_to_len;
-use tcsl_tensor::quant::TapElem;
-use tcsl_tensor::window::{
-    count_windows, window_dot, window_dot2, window_dot2x4, window_dot4, window_sq_norms,
-};
+use std::ops::Range;
+use tcsl_tensor::dot::{TapElem, Tier};
+use tcsl_tensor::window::{count_windows, window_dots, window_row_into, window_sq_norms};
 use tcsl_tensor::Tensor;
 
 /// Series-side state for one (scale, stride): the padded series plus the
@@ -83,35 +88,47 @@ impl ScaleWindows {
     }
 }
 
-/// Windows per tile of the blocked fallback path: 64 windows × D·len f32
-/// keeps the scratch tile in L1/L2 while amortizing each window copy over
-/// all `K` shapelets of the group.
-pub const TILE_WINDOWS: usize = 64;
-
-/// Series bytes above which the blocked path takes over: beyond ~1 MiB the
-/// per-shapelet streaming passes fall out of L2 and re-copying windows
-/// tile-by-tile (one pass over the series, K dots per copied window) wins.
+/// Series bytes above which the blocked engine takes over: beyond ~1 MiB
+/// the per-shapelet-block streaming passes fall out of L2, and copying
+/// each window once (one pass over the series, K dots per copied window)
+/// wins.
 pub const BLOCKED_SERIES_BYTES: usize = 1 << 20;
 
 /// Row length (in elements) above which the fused engine streams taps in
-/// 2-row instead of 4-row blocks. A 4-row half-width block of a longer row
-/// (> 4 · 3072 · 2 B = 24 KiB) no longer fits in a 32 KiB L1d alongside the
-/// window stream, so every window pass spills the taps it just read;
-/// halving the block keeps the hot tap set resident. Only applied when the
-/// pair kernels still share window loads
-/// ([`TapElem::paired_kernel_available`]; never for f32 taps).
+/// 2-row × 4-window instead of 4-row × 1-window blocks. A 4-row half-width
+/// block of a longer row (> 4 · 3072 · 2 B = 24 KiB) no longer fits in a
+/// 32 KiB L1d alongside the window stream, so every window pass would spill
+/// the taps it just read; halving the block keeps the hot tap set resident,
+/// and four windows share each tap load instead. Applied on the 512-bit
+/// tier only ([`TapElem::tier`]), where the pair block keeps its sixteen
+/// accumulator chains in registers.
 pub const PAIR_BLOCK_MIN_ROW: usize = 3072;
 
-/// Shapelets per block of one group's streaming pass: 2 for wide rows with
-/// a load-sharing pair kernel, else 4. One deterministic decision per
-/// (group, machine): pooling and localization both derive their blocking
-/// from it, which is what keeps localization scores bit-identical to pooled
-/// values.
-fn block_width<T: TapElem>(taps: &TapRows<T>, span_len: usize) -> usize {
-    if taps.row_len > PAIR_BLOCK_MIN_ROW && T::paired_kernel_available(span_len) {
-        2
-    } else {
-        4
+/// The two pooling engines. Both run every (row, window) dot through the
+/// same block loop and kernel family. They associate a window's sum
+/// differently (per-variable dots added in variable order, against one dot
+/// over the copied `D·len` row), so they agree to rounding only, and which
+/// one runs must not depend on anything but the series.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Engine {
+    /// Shapelet-block-major streaming passes over the series in place.
+    Fused,
+    /// Window by window: each copied into one scratch row, then scanned by
+    /// every shapelet block.
+    Blocked,
+}
+
+impl Engine {
+    /// The engine a series takes: blocked above [`BLOCKED_SERIES_BYTES`],
+    /// else fused. A function of the series alone, shared by pooling and
+    /// localization, so a group, each of its subsets and each localization
+    /// of one of its shapelets all take the same engine.
+    pub(crate) fn of(sw: &ScaleWindows) -> Engine {
+        if sw.padded.numel() * core::mem::size_of::<f32>() > BLOCKED_SERIES_BYTES {
+            Engine::Blocked
+        } else {
+            Engine::Fused
+        }
     }
 }
 
@@ -137,14 +154,41 @@ pub fn pool_measure(
     measure: Measure,
     pre: &GroupPrecomp,
 ) -> (Vec<f32>, Vec<usize>) {
-    let series_bytes = sw.padded.numel() * core::mem::size_of::<f32>();
-    if pre.k() > 1 && series_bytes > BLOCKED_SERIES_BYTES {
-        tcsl_obs::counters::SHAPELET_POOL_BLOCKED.add(1);
-        pool_group_blocked(sw, measure, pre)
-    } else {
-        tcsl_obs::counters::SHAPELET_POOL_FUSED.add(1);
-        pool_group_fused(sw, measure, pre)
+    let engine = Engine::of(sw);
+    match engine {
+        Engine::Fused => tcsl_obs::counters::SHAPELET_POOL_FUSED.add(1),
+        Engine::Blocked => tcsl_obs::counters::SHAPELET_POOL_BLOCKED.add(1),
     }
+    pool_on(sw, measure, pre, engine)
+}
+
+/// [`pool_measure`] on a given engine.
+pub(crate) fn pool_on(
+    sw: &ScaleWindows,
+    measure: Measure,
+    pre: &GroupPrecomp,
+    engine: Engine,
+) -> (Vec<f32>, Vec<usize>) {
+    let k = pre.k();
+    let width = (sw.padded.rows() * sw.len) as f32;
+    let mut pooled = vec![f32::NAN; k];
+    let mut args = vec![0usize; k];
+    scan(sw, pre, engine, 0..k, |kk, w, cross| {
+        let s = score(
+            measure,
+            cross,
+            sw,
+            w,
+            pre.sq_norms[kk],
+            pre.inv_norms[kk],
+            width,
+        );
+        if w == 0 || measure.better(s, pooled[kk]) {
+            pooled[kk] = s;
+            args[kk] = w;
+        }
+    });
+    (pooled, args)
 }
 
 /// Per-window scores of a single shapelet of the group — the streaming
@@ -152,11 +196,10 @@ pub fn pool_measure(
 /// localization (which needs every window's score, not just the pooled
 /// one).
 ///
-/// Mirrors the fused pooling engine's shapelet blocking ([`block_width`]
-/// rows via the same window kernels, remainder via [`window_dot`]), so the
-/// score of shapelet `k` here is bit-identical to the one
-/// [`pool_group_fused`] pooled over — localization provably explains the
-/// feature value, at every tap width.
+/// One row through the same engine and kernels as [`pool_group`]: a
+/// kernel entry does not depend on the rows sharing its block, so the
+/// score of shapelet `k` here is bit-identical to the one pooling saw, and
+/// localization explains the feature value exactly at every tap width.
 pub fn shapelet_scores(
     sw: &ScaleWindows,
     g: &ShapeletGroup,
@@ -168,43 +211,13 @@ pub fn shapelet_scores(
         "shapelet {k} out of range for group of {}",
         g.k()
     );
-    match &pre.taps {
-        GroupTaps::F32(taps) => scores_of(sw, g.measure, pre, taps, k),
-        GroupTaps::F16(taps) => scores_of(sw, g.measure, pre, taps, k),
-    }
-}
-
-fn scores_of<T: TapElem>(
-    sw: &ScaleWindows,
-    measure: Measure,
-    pre: &GroupPrecomp,
-    taps: &TapRows<T>,
-    k: usize,
-) -> Vec<f32> {
-    let d = sw.padded.rows();
-    let width = (d * sw.len) as f32;
+    let width = (sw.padded.rows() * sw.len) as f32;
     let (s_sq, s_inv) = (pre.sq_norms[k], pre.inv_norms[k]);
-    let bw = block_width(taps, sw.len);
-    let blocked = k < pre.k() - pre.k() % bw;
-    let (kb, j) = (k / bw * bw, k % bw);
-    T::count_dispatch(sw.len, ((if blocked { bw } else { 1 }) * d * sw.n) as u64);
-    let score_at = |w: usize, cross: f32| score(measure, cross, sw, w, s_sq, s_inv, width);
-    if blocked && bw == 2 {
-        let rows = [taps.row(kb), taps.row(kb + 1)];
-        (0..sw.n)
-            .map(|w| score_at(w, window_dot2(&sw.padded, rows, w * sw.stride, sw.len)[j]))
-            .collect()
-    } else if blocked {
-        let rows = [0, 1, 2, 3].map(|i| taps.row(kb + i));
-        (0..sw.n)
-            .map(|w| score_at(w, window_dot4(&sw.padded, rows, w * sw.stride, sw.len)[j]))
-            .collect()
-    } else {
-        let row = taps.row(k);
-        (0..sw.n)
-            .map(|w| score_at(w, window_dot(&sw.padded, row, w * sw.stride, sw.len)))
-            .collect()
-    }
+    let mut scores = vec![0.0f32; sw.n];
+    scan(sw, pre, Engine::of(sw), k..k + 1, |_, w, cross| {
+        scores[w] = score(g.measure, cross, sw, w, s_sq, s_inv, width);
+    });
+    scores
 }
 
 /// One (window, shapelet) score. Mirrors [`Measure::finish`] exactly —
@@ -228,159 +241,136 @@ fn score(
     }
 }
 
-/// Fully fused engine: shapelet-major, one streaming pass over the series
-/// per block of shapelets (the load-sharing [`window_dot4`] kernel keeps
-/// the window in registers across the block), O(1) extra memory. Best when
-/// the series fits in cache (the common case — a 4k-step univariate series
-/// is 16 KiB).
-pub(crate) fn pool_group_fused(
+/// Hands the raw dot product of every (tap row in `rows`, window) pair of
+/// the series to `f(row, window, cross)`, each row's windows in increasing
+/// order, through `engine`.
+fn scan(
     sw: &ScaleWindows,
-    measure: Measure,
     pre: &GroupPrecomp,
-) -> (Vec<f32>, Vec<usize>) {
+    engine: Engine,
+    rows: Range<usize>,
+    f: impl FnMut(usize, usize, f32),
+) {
     match &pre.taps {
-        GroupTaps::F32(taps) => fused_rows(sw, measure, pre, taps),
-        GroupTaps::F16(taps) => fused_rows(sw, measure, pre, taps),
+        GroupTaps::F32(taps) => scan_taps(sw, taps, engine, rows, f),
+        GroupTaps::F16(taps) => scan_taps(sw, taps, engine, rows, f),
     }
 }
 
-fn fused_rows<T: TapElem>(
+fn scan_taps<T: TapElem>(
     sw: &ScaleWindows,
-    measure: Measure,
-    pre: &GroupPrecomp,
     taps: &TapRows<T>,
-) -> (Vec<f32>, Vec<usize>) {
+    engine: Engine,
+    rows: Range<usize>,
+    mut f: impl FnMut(usize, usize, f32),
+) {
     let d = sw.padded.rows();
-    let width = (d * sw.len) as f32;
-    let k = pre.k();
-    // One gate check for the whole pool call: k dots per window, one
-    // length-only dispatch decision shared by every one of them.
-    T::count_dispatch(sw.len, (k * d * sw.n) as u64);
-    let mut pooled = vec![f32::NAN; k];
-    let mut args = vec![0usize; k];
-    let mut update = |kk: usize, w: usize, cross: f32| {
-        let s = score(
-            measure,
-            cross,
-            sw,
-            w,
-            pre.sq_norms[kk],
-            pre.inv_norms[kk],
-            width,
-        );
-        if w == 0 || measure.better(s, pooled[kk]) {
-            pooled[kk] = s;
-            args[kk] = w;
+    match engine {
+        Engine::Fused => {
+            // One gate check for the whole scan: one length-only dispatch
+            // decision shared by every per-variable dot.
+            T::count_dispatch(sw.len, (rows.len() * d * sw.n) as u64);
+            let view = Windows {
+                series: &sw.padded,
+                len: sw.len,
+                stride: sw.stride,
+                n: sw.n,
+            };
+            scan_view(&view, taps, rows, &mut f);
         }
-    };
-    let bw = block_width(taps, sw.len);
-    let full = k - k % bw;
-    for kb in (0..full).step_by(bw) {
-        if bw == 2 {
-            // Window quads share tap loads and conversions; trailing
-            // windows fall back to the single-window pair kernel
-            // (bit-identical per-dot values).
-            let rows = [taps.row(kb), taps.row(kb + 1)];
-            let mut w = 0usize;
-            while w + 4 <= sw.n {
-                let starts = [w, w + 1, w + 2, w + 3].map(|x| x * sw.stride);
-                let cross = window_dot2x4(&sw.padded, rows, starts, sw.len);
-                for (wi, cw) in cross.iter().enumerate() {
-                    for (j, &c) in cw.iter().enumerate() {
-                        update(kb + j, w + wi, c);
-                    }
-                }
-                w += 4;
-            }
-            for w in w..sw.n {
-                let cross = window_dot2(&sw.padded, rows, w * sw.stride, sw.len);
-                for (j, &c) in cross.iter().enumerate() {
-                    update(kb + j, w, c);
-                }
-            }
-        } else {
-            let rows = [0, 1, 2, 3].map(|i| taps.row(kb + i));
+        Engine::Blocked => {
+            // A copied window is one row of d·len, so dispatch is on that.
+            let row_w = d * sw.len;
+            T::count_dispatch(row_w, (rows.len() * sw.n) as u64);
+            let mut row = Tensor::zeros([1, row_w]);
             for w in 0..sw.n {
-                let cross = window_dot4(&sw.padded, rows, w * sw.stride, sw.len);
-                for (j, &c) in cross.iter().enumerate() {
-                    update(kb + j, w, c);
-                }
+                window_row_into(&sw.padded, w * sw.stride, sw.len, row.as_mut_slice());
+                let view = Windows {
+                    series: &row,
+                    len: row_w,
+                    stride: row_w,
+                    n: 1,
+                };
+                scan_view(&view, taps, rows.clone(), &mut |k, _, c| f(k, w, c));
             }
         }
     }
-    for kk in full..k {
-        let row = taps.row(kk);
-        for w in 0..sw.n {
-            update(kk, w, window_dot(&sw.padded, row, w * sw.stride, sw.len));
-        }
-    }
-    (pooled, args)
 }
 
-/// Blocked fallback engine: copies windows into a bounded scratch tile
-/// (reused across tiles, never `N_w` rows at once) and scores each copied
-/// row against all `K` shapelets before moving on — one pass over the
-/// series total, which wins once the series no longer stays cache resident
-/// across `K` streaming passes.
-pub(crate) fn pool_group_blocked(
-    sw: &ScaleWindows,
-    measure: Measure,
-    pre: &GroupPrecomp,
-) -> (Vec<f32>, Vec<usize>) {
-    match &pre.taps {
-        GroupTaps::F32(taps) => blocked_rows(sw, measure, pre, taps),
-        GroupTaps::F16(taps) => blocked_rows(sw, measure, pre, taps),
-    }
+/// `n` windows of `len` steps, `stride` apart, read in place from `series`:
+/// the padded series itself (fused engine) or one copied window as a
+/// single variable of `D·len` steps (blocked engine).
+struct Windows<'a> {
+    series: &'a Tensor,
+    len: usize,
+    stride: usize,
+    n: usize,
 }
 
-fn blocked_rows<T: TapElem>(
-    sw: &ScaleWindows,
-    measure: Measure,
-    pre: &GroupPrecomp,
+/// Scans tap rows `rows` over every window of `view` in blocks of the
+/// group's shape: 2 rows × 4 windows for rows longer than
+/// [`PAIR_BLOCK_MIN_ROW`] on the 512-bit tier, else 4 rows × 1 window.
+fn scan_view<T: TapElem>(
+    view: &Windows,
     taps: &TapRows<T>,
-) -> (Vec<f32>, Vec<usize>) {
-    let d = sw.padded.rows();
-    let len = sw.len;
-    let row_w = d * len;
-    let width = row_w as f32;
-    let k = pre.k();
-    // Blocked rows are the full d·len window, so dispatch is on row_w.
-    T::count_dispatch(row_w, (k * sw.n) as u64);
-    let mut pooled = vec![f32::NAN; k];
-    let mut args = vec![0usize; k];
-    let mut tile = vec![0.0f32; TILE_WINDOWS.min(sw.n) * row_w];
-    let mut tile_start = 0usize;
-    while tile_start < sw.n {
-        let tile_n = TILE_WINDOWS.min(sw.n - tile_start);
-        for (r, buf) in tile.chunks_mut(row_w).take(tile_n).enumerate() {
-            let start = (tile_start + r) * sw.stride;
-            for v in 0..d {
-                buf[v * len..(v + 1) * len].copy_from_slice(&sw.padded.row(v)[start..start + len]);
-            }
-        }
-        for r in 0..tile_n {
-            let w = tile_start + r;
-            let row = &tile[r * row_w..(r + 1) * row_w];
-            for (j, (p, a)) in pooled.iter_mut().zip(args.iter_mut()).enumerate() {
-                let cross = T::dot(row, taps.row(j));
-                let s = score(
-                    measure,
-                    cross,
-                    sw,
-                    w,
-                    pre.sq_norms[j],
-                    pre.inv_norms[j],
-                    width,
-                );
-                if w == 0 || measure.better(s, *p) {
-                    *p = s;
-                    *a = w;
-                }
-            }
-        }
-        tile_start += tile_n;
+    rows: Range<usize>,
+    f: &mut impl FnMut(usize, usize, f32),
+) {
+    if taps.row_len > PAIR_BLOCK_MIN_ROW && T::tier(view.len) == Tier::Avx512 {
+        scan_rows::<T, 2, 4>(view, taps, rows, f);
+    } else {
+        scan_rows::<T, 4, 1>(view, taps, rows, f);
     }
-    (pooled, args)
+}
+
+/// Full blocks of `R` rows, then one block of the `rows.len() % R` rows
+/// left over (at most 3).
+fn scan_rows<T: TapElem, const R: usize, const W: usize>(
+    view: &Windows,
+    taps: &TapRows<T>,
+    rows: Range<usize>,
+    f: &mut impl FnMut(usize, usize, f32),
+) {
+    debug_assert!(R <= 4);
+    let mut kb = rows.start;
+    while kb + R <= rows.end {
+        scan_block::<T, R, W>(view, taps, kb, f);
+        kb += R;
+    }
+    match rows.end - kb {
+        0 => {}
+        1 => scan_block::<T, 1, W>(view, taps, kb, f),
+        2 => scan_block::<T, 2, W>(view, taps, kb, f),
+        _ => scan_block::<T, 3, W>(view, taps, kb, f),
+    }
+}
+
+/// Tap rows `kb..kb + R` against every window of `view`, `W` windows per
+/// kernel call and the trailing `n % W` windows one per call.
+fn scan_block<T: TapElem, const R: usize, const W: usize>(
+    view: &Windows,
+    taps: &TapRows<T>,
+    kb: usize,
+    f: &mut impl FnMut(usize, usize, f32),
+) {
+    let rows: [&[T]; R] = std::array::from_fn(|j| taps.row(kb + j));
+    let mut w = 0usize;
+    while w + W <= view.n {
+        let starts: [usize; W] = std::array::from_fn(|i| (w + i) * view.stride);
+        let cross = window_dots(view.series, rows, starts, view.len);
+        for (j, c) in cross.iter().enumerate() {
+            for (i, &x) in c.iter().enumerate() {
+                f(kb + j, w + i, x);
+            }
+        }
+        w += W;
+    }
+    for w in w..view.n {
+        let cross = window_dots(view.series, rows, [w * view.stride], view.len);
+        for (j, [x]) in cross.iter().enumerate() {
+            f(kb + j, w, *x);
+        }
+    }
 }
 
 #[cfg(test)]
@@ -418,8 +408,8 @@ mod tests {
             let sw = ScaleWindows::new(series, g.len, g.stride);
             let (want, want_args) = oracle(g, series);
             for (pooled, a) in [
-                pool_group_fused(&sw, g.measure, &pre[gi]),
-                pool_group_blocked(&sw, g.measure, &pre[gi]),
+                pool_on(&sw, g.measure, &pre[gi], Engine::Fused),
+                pool_on(&sw, g.measure, &pre[gi], Engine::Blocked),
             ] {
                 for j in 0..g.k() {
                     assert!(
@@ -443,7 +433,7 @@ mod tests {
 
     #[test]
     fn engines_agree_with_stride_and_many_tiles() {
-        // > TILE_WINDOWS windows so the blocked path crosses tiles.
+        // Many windows at stride 2, through both engines.
         let (bank, series) = setup(1, 300, 7, 2, 4);
         assert_engines_match(&bank, &series);
     }
@@ -484,7 +474,7 @@ mod tests {
         let pre = bank.precomputed();
         let sw = ScaleWindows::new(&series, g.len, g.stride);
         let (via_dispatch, _) = pool_group(&sw, g, &pre[0]);
-        let (via_blocked, _) = pool_group_blocked(&sw, g.measure, &pre[0]);
+        let (via_blocked, _) = pool_on(&sw, g.measure, &pre[0], Engine::Blocked);
         assert_eq!(via_dispatch, via_blocked);
     }
 }

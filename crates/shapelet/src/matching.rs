@@ -137,6 +137,31 @@ mod tests {
     }
 
     #[test]
+    fn large_series_localization_and_subsets_equal_features() {
+        // 3 × 100 000 steps = 1.2 MB: every group, each single-shapelet
+        // subset and each localization take the blocked engine, so match
+        // scores and subset columns are the features bit for bit.
+        let cfg = ShapeletConfig {
+            lengths: vec![32, 128],
+            k_per_group: 10,
+            measures: Measure::ALL.to_vec(),
+            stride: 1,
+        };
+        let mut rng = seeded(5);
+        let mut b = ShapeletBank::new(&cfg, 3);
+        b.randomize(&mut rng);
+        let s = TimeSeries::new(tcsl_tensor::Tensor::randn([3, 100_000], &mut rng));
+        assert!(s.values().numel() * 4 > crate::fused::BLOCKED_SERIES_BYTES);
+        let feats = transform_series(&b, &s).unwrap();
+        for (col, &f) in feats.iter().enumerate() {
+            let m = best_match_for_feature(&b, col, &s).unwrap();
+            assert_eq!(m.score.to_bits(), f.to_bits(), "column {col} localization");
+            let sub = transform_series(&b.subset_columns(&[col]).unwrap(), &s).unwrap();
+            assert_eq!(sub[0].to_bits(), f.to_bits(), "column {col} subset");
+        }
+    }
+
+    #[test]
     fn window_scores_cover_all_positions() {
         let b = bank();
         let s = TimeSeries::univariate(vec![0.0; 12]);

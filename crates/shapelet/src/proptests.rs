@@ -5,7 +5,7 @@ use crate::bank::ShapeletBank;
 use crate::config::ShapeletConfig;
 use crate::diff_transform::oracle::diff_features_oracle;
 use crate::diff_transform::{bind_trainable, diff_features};
-use crate::fused::{pool_group_blocked, pool_group_fused, ScaleWindows};
+use crate::fused::{pool_on, Engine, ScaleWindows};
 use crate::measure::Measure;
 use crate::transform::{transform_dataset, transform_series, transform_series_oracle, windows_for};
 use proptest::prelude::*;
@@ -52,8 +52,61 @@ fn arb_fused_setup() -> impl Strategy<Value = (ShapeletBank, TimeSeries)> {
     )
 }
 
+/// Banks for the feature-independence contract: a scale on each side of
+/// the 64-step SIMD threshold, `K` not a multiple of 4 (so every group ends
+/// in a leftover block), strides 1–3, at f32 or binary16 taps.
+fn arb_subset_setup() -> impl Strategy<Value = (ShapeletBank, TimeSeries)> {
+    (
+        (1usize..4, 3usize..64, 64usize..140),
+        (0usize..6, 1usize..4, 20usize..220),
+        (0usize..2, 0u64..1000),
+    )
+        .prop_map(|((d, short, long), (ki, stride, t), (half, seed))| {
+            let mut rng = seeded(seed);
+            let cfg = ShapeletConfig {
+                lengths: vec![short, long],
+                k_per_group: [1, 2, 3, 5, 6, 7][ki],
+                measures: Measure::ALL.to_vec(),
+                stride,
+            };
+            let mut bank = ShapeletBank::new(&cfg, d);
+            bank.randomize(&mut rng);
+            if half == 1 {
+                bank.quantize(QuantScheme::F16).unwrap();
+            }
+            let series = TimeSeries::new(Tensor::randn([d, t], &mut rng));
+            (bank, series)
+        })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
+
+    #[test]
+    fn features_depend_on_their_shapelet_alone(
+        (bank, series) in arb_subset_setup(), mask in 0u64..u64::MAX
+    ) {
+        // A feature is its shapelet's best match, whichever rows share its
+        // kernel block: every subset of the bank reproduces the gathered
+        // columns and every localization reproduces its feature, bit for
+        // bit, at both tap widths.
+        let feats = transform_series(&bank, &series).unwrap();
+        let masked: Vec<usize> = (0..feats.len()).filter(|c| mask >> (c % 64) & 1 == 1).collect();
+        let mut subsets: Vec<Vec<usize>> = (0..feats.len()).map(|c| vec![c]).collect();
+        if !masked.is_empty() {
+            subsets.push(masked);
+        }
+        for cols in &subsets {
+            let sub = transform_series(&bank.subset_columns(cols).unwrap(), &series).unwrap();
+            for (&c, &f) in cols.iter().zip(&sub) {
+                prop_assert_eq!(f.to_bits(), feats[c].to_bits(), "column {} of subset {:?}", c, cols);
+            }
+        }
+        for (c, &f) in feats.iter().enumerate() {
+            let m = crate::matching::best_match_for_feature(&bank, c, &series).unwrap();
+            prop_assert_eq!(m.score.to_bits(), f.to_bits(), "column {} localization", c);
+        }
+    }
 
     #[test]
     fn fast_and_diff_paths_agree((bank, series) in arb_setup()) {
@@ -117,8 +170,8 @@ proptest! {
             let windows = windows_for(series.values(), g.len, g.stride);
             let scores = g.measure.score_matrix(&windows, &g.shapelets);
             let (opooled, oargs) = g.measure.pool(&scores);
-            let fused = pool_group_fused(&sw, g.measure, &pre[gi]);
-            let blocked = pool_group_blocked(&sw, g.measure, &pre[gi]);
+            let fused = pool_on(&sw, g.measure, &pre[gi], Engine::Fused);
+            let blocked = pool_on(&sw, g.measure, &pre[gi], Engine::Blocked);
             for (pooled, args) in [&fused, &blocked] {
                 for k in 0..g.k() {
                     prop_assert!(

@@ -4,8 +4,8 @@
 //! stream is the repacked tap rows, re-read once per window. A quantized
 //! bank stores that stream as IEEE 754 binary16 and pools through the same
 //! engine as an f32 bank ([`crate::fused`], generic over
-//! [`tcsl_tensor::quant::TapElem`]), whose f16 kernels dequantize
-//! in-register and accumulate in f32.
+//! [`tcsl_tensor::dot::TapElem`]), whose kernels convert binary16 taps
+//! in register and accumulate in f32.
 //!
 //! Contract with the rest of the stack:
 //!
@@ -21,7 +21,7 @@
 //!   value is the identity).
 //! * **One tap-width decision.** [`crate::ShapeletBank::precomputed`]
 //!   stores a group's taps as binary16 only when its per-variable span
-//!   reaches [`tcsl_tensor::quant::QUANT_MIN_LEN`]; shorter groups keep f32
+//!   reaches [`tcsl_tensor::dot::SIMD_MIN_LEN`]; shorter groups keep f32
 //!   taps of the dequantized rows.
 
 use tcsl_tensor::quant::QuantScheme;
@@ -71,10 +71,12 @@ impl BankPrecision {
 mod tests {
     use super::*;
     use crate::config::ShapeletConfig;
-    use crate::fused::{pool_group, pool_group_blocked, shapelet_scores, ScaleWindows};
-    use crate::fused::{pool_group_fused, PAIR_BLOCK_MIN_ROW};
+    use crate::fused::PAIR_BLOCK_MIN_ROW;
+    use crate::fused::{pool_group, pool_on, shapelet_scores, Engine, ScaleWindows};
+    use crate::transform::transform_series;
     use crate::{Measure, ShapeletBank};
-    use tcsl_tensor::quant::QUANT_MIN_LEN;
+    use tcsl_data::TimeSeries;
+    use tcsl_tensor::dot::{TapElem, Tier, SIMD_MIN_LEN};
     use tcsl_tensor::rng::seeded;
     use tcsl_tensor::Tensor;
 
@@ -119,10 +121,11 @@ mod tests {
             let series = Tensor::randn([d, t], &mut rng);
             for (gi, g) in q.groups().iter().enumerate() {
                 let sw = ScaleWindows::new(&series, g.len, g.stride);
-                let (want, want_args) = pool_group_fused(&sw, g.measure, &deq.precomputed()[gi]);
+                let (want, want_args) =
+                    pool_on(&sw, g.measure, &deq.precomputed()[gi], Engine::Fused);
                 for (got, got_args) in [
-                    pool_group_fused(&sw, g.measure, &q.precomputed()[gi]),
-                    pool_group_blocked(&sw, g.measure, &q.precomputed()[gi]),
+                    pool_on(&sw, g.measure, &q.precomputed()[gi], Engine::Fused),
+                    pool_on(&sw, g.measure, &q.precomputed()[gi], Engine::Blocked),
                 ] {
                     for j in 0..k {
                         assert!(
@@ -141,7 +144,7 @@ mod tests {
 
     #[test]
     fn short_scale_f16_pooling_is_bit_identical_to_f32_on_deq() {
-        // Below QUANT_MIN_LEN the f16 bank keeps f32 taps of its dequantized
+        // Below SIMD_MIN_LEN the f16 bank keeps f32 taps of its dequantized
         // rows, so pooling and localization are the f32 engine on the
         // dequantized bank, bit for bit. At the threshold the binary16
         // kernels take over: values within round-off, argmins exact.
@@ -159,7 +162,7 @@ mod tests {
                         shapelet_scores(&sw, g, qp, kk),
                         shapelet_scores(&sw, g, dp, kk),
                     );
-                    if len < QUANT_MIN_LEN {
+                    if len < SIMD_MIN_LEN {
                         assert_eq!(got[kk].to_bits(), want[kk].to_bits(), "len={len}");
                         assert!(gs.iter().zip(&ws).all(|(a, b)| a.to_bits() == b.to_bits()));
                     } else {
@@ -174,13 +177,16 @@ mod tests {
 
     #[test]
     fn wide_rows_pool_and_localize_consistently() {
-        // Rows past PAIR_BLOCK_MIN_ROW take the 2-row / window-quad path on
-        // machines with the fused pair kernels (and the 4-row path
-        // elsewhere); in both cases localization must reproduce the pooled
-        // value bit-for-bit and the scores must stay inside the same error
-        // envelope as the f32 engines on the dequantized bank. k = 3 also
-        // exercises the odd-row remainder of the pair loop.
+        // Rows past PAIR_BLOCK_MIN_ROW take the 2-row × 4-window block on
+        // the 512-bit tier (and 4-row blocks elsewhere); k = 3 adds a
+        // leftover one-row block and n = 98 trailing single windows.
+        // Localization and every single-shapelet subset reproduce the
+        // pooled value bit for bit, and the scores stay inside the same
+        // error envelope as the f32 engine on the dequantized bank.
         let len = PAIR_BLOCK_MIN_ROW + 29;
+        if Tier::Avx512.available() {
+            assert_eq!(u16::tier(len), Tier::Avx512);
+        }
         let (q, deq) = banks(1, len, 3);
         let series = Tensor::randn([1, len + 97], &mut seeded(35));
         for (gi, g) in q.groups().iter().enumerate() {
@@ -199,6 +205,12 @@ mod tests {
                 assert_eq!(col.len(), sw.n);
                 assert_eq!(col[args[k]].to_bits(), pooled[k].to_bits(), "k={k}");
             }
+        }
+        let s = TimeSeries::new(series);
+        let feats = transform_series(&q, &s).unwrap();
+        for (c, &f) in feats.iter().enumerate() {
+            let sub = transform_series(&q.subset_columns(&[c]).unwrap(), &s).unwrap();
+            assert_eq!(sub[0].to_bits(), f.to_bits(), "column {c}");
         }
     }
 

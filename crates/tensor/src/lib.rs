@@ -6,6 +6,7 @@
 //!
 //! This crate provides the numeric foundation that every other TimeCSL crate
 //! builds on: an n-dimensional row-major [`Tensor`], shape/stride arithmetic,
+//! one dot-kernel family for f32 and binary16 taps ([`dot`]),
 //! cache-friendly matrix multiplication, axis reductions with argument
 //! tracking (needed by the min/max-pooling backward pass of the autodiff
 //! crate), sliding-window unfolding for time series, descriptive statistics,
@@ -22,6 +23,7 @@
 //!   reserved for I/O-facing layers.
 //! * All randomness is injected via `rand::Rng` so experiments are seedable.
 
+pub mod dot;
 pub mod matmul;
 pub mod pairdist;
 pub mod parallel;

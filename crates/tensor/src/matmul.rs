@@ -6,6 +6,7 @@
 //! row sequentially — the standard cache-friendly ordering that lets LLVM
 //! auto-vectorize the accumulation.
 
+use crate::dot::{dots, TapElem};
 use crate::tensor::Tensor;
 
 /// `A (m×k) · B (k×n) → (m×n)`.
@@ -32,205 +33,12 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
     out
 }
 
-/// Dot product — the kernel the whole shapelet transform funnels through.
-///
-/// On x86-64 with AVX2+FMA (detected at runtime, so portable builds still
-/// work everywhere) this uses the intrinsics path below; elsewhere it falls
-/// back to [`dot_scalar`]. Engines that score one row at a time share this
-/// function, so those rows see identical dot-product rounding. [`dot4`] is
-/// not bit-identical to it at length ≥ 64 on the AVX2/FMA tier: its lanes
-/// accumulate in a different order, so a row pooled in a quad block can
-/// differ in the last bits from the same row through `dot`. Below length
-/// 64 both run `dot_scalar` and agree bit for bit.
+/// Dot product of two f32 slices: the one-row instance of the kernel family
+/// in [`crate::dot`], so it rounds exactly like every row of a blocked call
+/// on the same operands.
 #[inline]
 pub fn dot(a: &[f32], b: &[f32]) -> f32 {
-    debug_assert_eq!(a.len(), b.len());
-    #[cfg(target_arch = "x86_64")]
-    if a.len() >= FMA_MIN_LEN && x86::fma_available() {
-        // SAFETY: gated on runtime detection of avx2+fma.
-        return unsafe { x86::dot_fma(a, b) };
-    }
-    dot_scalar(a, b)
-}
-
-/// Below this length the call into the (non-inlinable, runtime-detected)
-/// intrinsics path costs more than it saves; the scalar kernel inlines
-/// into the caller's loop. Dispatch depends only on the length, so a
-/// kernel given the same operands rounds the same at every call site.
-const FMA_MIN_LEN: usize = 64;
-
-/// Records `n` dot products of operand length `len` against the
-/// `dot.dispatch.*` counters — the same length-only decision [`dot`] and
-/// [`dot4`] make, hoisted out of their bodies so hot loops pay **one**
-/// enabled-gate check per batch instead of one per dot product. The batch
-/// kernels (transforms, pairwise distances, the matmul wrappers below)
-/// call this; stray singleton `dot` calls on cold paths go uncounted.
-#[inline]
-pub fn count_dot_dispatch(len: usize, n: u64) {
-    if n == 0 {
-        return;
-    }
-    #[cfg(target_arch = "x86_64")]
-    if len >= FMA_MIN_LEN && x86::fma_available() {
-        tcsl_obs::counters::DOT_DISPATCH_AVX2_FMA.add(n);
-        return;
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = len;
-    tcsl_obs::counters::DOT_DISPATCH_SCALAR.add(n);
-}
-
-/// Portable dot product with eight independent accumulators so LLVM can
-/// vectorize the reduction (a single-accumulator loop has a serial
-/// dependency chain that blocks SIMD).
-#[inline]
-pub fn dot_scalar(a: &[f32], b: &[f32]) -> f32 {
-    debug_assert_eq!(a.len(), b.len());
-    let mut acc = [0.0f32; 8];
-    let chunks = a.len() / 8;
-    for c in 0..chunks {
-        let (x, y) = (&a[c * 8..c * 8 + 8], &b[c * 8..c * 8 + 8]);
-        for l in 0..8 {
-            acc[l] += x[l] * y[l];
-        }
-    }
-    let mut tail = 0.0f32;
-    for i in chunks * 8..a.len() {
-        tail += a[i] * b[i];
-    }
-    acc.iter().sum::<f32>() + tail
-}
-
-/// Dot products of one vector against four others in a single pass: the
-/// shared side is loaded once per lane instead of four times, which lifts
-/// the kernel off the load-port ceiling a lone [`dot`] hits. This is the
-/// blocked kernel behind the fused shapelet transform's shapelet-major
-/// loop (4 shapelets of a group per streaming pass).
-///
-/// Dispatch depends only on the length, so any two call sites given the
-/// same operands produce bit-identical results. At length ≥ 64 on the
-/// AVX2/FMA tier a lane's value is not bit-identical to [`dot`]'s (see
-/// there).
-#[inline]
-pub fn dot4(w: &[f32], t0: &[f32], t1: &[f32], t2: &[f32], t3: &[f32]) -> [f32; 4] {
-    debug_assert!(
-        t0.len() == w.len() && t1.len() == w.len() && t2.len() == w.len() && t3.len() == w.len()
-    );
-    #[cfg(target_arch = "x86_64")]
-    if w.len() >= FMA_MIN_LEN && x86::fma_available() {
-        // SAFETY: gated on runtime detection of avx2+fma.
-        return unsafe { x86::dot4_fma(w, t0, t1, t2, t3) };
-    }
-    [dot(w, t0), dot(w, t1), dot(w, t2), dot(w, t3)]
-}
-
-#[cfg(target_arch = "x86_64")]
-mod x86 {
-    use std::arch::x86_64::*;
-
-    /// Cached runtime check for the avx2+fma dot path.
-    #[inline]
-    pub fn fma_available() -> bool {
-        // is_x86_feature_detected caches the CPUID result internally.
-        std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
-    }
-
-    /// AVX2+FMA dot product: eight 8-lane accumulator chains (enough
-    /// instruction-level parallelism to keep both FMA ports busy across the
-    /// ~4-cycle FMA latency), lanes reduced sequentially at the end.
-    ///
-    /// # Safety
-    ///
-    /// Requires the `avx2` and `fma` target features at runtime
-    /// ([`fma_available`]); `a` and `b` must be the same length.
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub unsafe fn dot_fma(a: &[f32], b: &[f32]) -> f32 {
-        let n = a.len();
-        let (pa, pb) = (a.as_ptr(), b.as_ptr());
-        unsafe {
-            let mut acc = [_mm256_setzero_ps(); 8];
-            let mut i = 0usize;
-            while i + 64 <= n {
-                for (c, lane) in acc.iter_mut().enumerate() {
-                    let off = i + c * 8;
-                    *lane = _mm256_fmadd_ps(
-                        _mm256_loadu_ps(pa.add(off)),
-                        _mm256_loadu_ps(pb.add(off)),
-                        *lane,
-                    );
-                }
-                i += 64;
-            }
-            while i + 8 <= n {
-                acc[0] = _mm256_fmadd_ps(
-                    _mm256_loadu_ps(pa.add(i)),
-                    _mm256_loadu_ps(pb.add(i)),
-                    acc[0],
-                );
-                i += 8;
-            }
-            let quad = [
-                _mm256_add_ps(acc[0], acc[1]),
-                _mm256_add_ps(acc[2], acc[3]),
-                _mm256_add_ps(acc[4], acc[5]),
-                _mm256_add_ps(acc[6], acc[7]),
-            ];
-            let sum = _mm256_add_ps(
-                _mm256_add_ps(quad[0], quad[1]),
-                _mm256_add_ps(quad[2], quad[3]),
-            );
-            let mut lanes = [0.0f32; 8];
-            _mm256_storeu_ps(lanes.as_mut_ptr(), sum);
-            let mut s: f32 = lanes.iter().sum();
-            while i < n {
-                s += *pa.add(i) * *pb.add(i);
-                i += 1;
-            }
-            s
-        }
-    }
-
-    /// Four dot products sharing the `w` operand: each window chunk is
-    /// loaded once and FMA-ed against all four tap rows (two 8-lane chains
-    /// per row for latency cover).
-    ///
-    /// # Safety
-    ///
-    /// Requires the `avx2` and `fma` target features at runtime
-    /// ([`fma_available`]); all five slices must be the same length.
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub unsafe fn dot4_fma(w: &[f32], t0: &[f32], t1: &[f32], t2: &[f32], t3: &[f32]) -> [f32; 4] {
-        let n = w.len();
-        let pw = w.as_ptr();
-        let pts = [t0.as_ptr(), t1.as_ptr(), t2.as_ptr(), t3.as_ptr()];
-        unsafe {
-            let mut acc = [[_mm256_setzero_ps(); 2]; 4];
-            let mut i = 0usize;
-            while i + 16 <= n {
-                let w0 = _mm256_loadu_ps(pw.add(i));
-                let w1 = _mm256_loadu_ps(pw.add(i + 8));
-                for (j, a) in acc.iter_mut().enumerate() {
-                    a[0] = _mm256_fmadd_ps(w0, _mm256_loadu_ps(pts[j].add(i)), a[0]);
-                    a[1] = _mm256_fmadd_ps(w1, _mm256_loadu_ps(pts[j].add(i + 8)), a[1]);
-                }
-                i += 16;
-            }
-            let mut out = [0.0f32; 4];
-            for (j, a) in acc.iter().enumerate() {
-                let s8 = _mm256_add_ps(a[0], a[1]);
-                let mut lanes = [0.0f32; 8];
-                _mm256_storeu_ps(lanes.as_mut_ptr(), s8);
-                let mut s: f32 = lanes.iter().sum();
-                let mut k = i;
-                while k < n {
-                    s += *pw.add(k) * *pts[j].add(k);
-                    k += 1;
-                }
-                out[j] = s;
-            }
-            out
-        }
-    }
+    dots::<f32, 1, 1>([a], [b])[0][0]
 }
 
 /// `A (m×k) · Bᵀ where B is (n×k) → (m×n)`.
@@ -242,17 +50,30 @@ pub fn matmul_transb(a: &Tensor, b: &Tensor) -> Tensor {
     let (m, k) = (a.rows(), a.cols());
     let (n, kb) = (b.rows(), b.cols());
     assert_eq!(k, kb, "matmul_transb inner dimensions differ: {k} vs {kb}");
-    count_dot_dispatch(k, (m * n) as u64);
+    f32::count_dispatch(k, (m * n) as u64);
     let mut out = Tensor::zeros([m, n]);
-    let (ad, bd) = (a.as_slice(), b.as_slice());
-    let od = out.as_mut_slice();
-    for i in 0..m {
-        let arow = &ad[i * k..(i + 1) * k];
-        for j in 0..n {
-            od[i * n + j] = dot(arow, &bd[j * k..(j + 1) * k]);
+    if n > 0 {
+        for (i, orow) in out.as_mut_slice().chunks_exact_mut(n).enumerate() {
+            dots_against(a.row(i), b, orow);
         }
     }
     out
+}
+
+/// `out[j] = v · rows[j]` for every row of `rows`, four rows per kernel
+/// call: a 4-row block keeps eight FMA chains busy where one row keeps two,
+/// and gives each entry the same bits as [`dot`].
+fn dots_against(v: &[f32], rows: &Tensor, out: &mut [f32]) {
+    let full = out.len() - out.len() % 4;
+    for j in (0..full).step_by(4) {
+        let block = dots::<f32, 4, 1>([v], std::array::from_fn(|l| rows.row(j + l)));
+        for (o, [x]) in out[j..j + 4].iter_mut().zip(block) {
+            *o = x;
+        }
+    }
+    for (j, o) in out.iter_mut().enumerate().skip(full) {
+        *o = dot(v, rows.row(j));
+    }
 }
 
 /// `Aᵀ (k×m)ᵀ · B (k×n) → (m×n)` computed without materializing `Aᵀ`.
@@ -288,13 +109,9 @@ pub fn matvec(a: &Tensor, v: &Tensor) -> Tensor {
         "matvec dimension mismatch: {} vs {k}",
         v.numel()
     );
-    count_dot_dispatch(k, m as u64);
+    f32::count_dispatch(k, m as u64);
     let mut out = Tensor::zeros([m]);
-    let (ad, vd) = (a.as_slice(), v.as_slice());
-    let od = out.as_mut_slice();
-    for i in 0..m {
-        od[i] = dot(&ad[i * k..(i + 1) * k], vd);
-    }
+    dots_against(v.as_slice(), a, out.as_mut_slice());
     out
 }
 
@@ -314,6 +131,8 @@ pub fn outer(u: &Tensor, v: &Tensor) -> Tensor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dot::tests::{check_block, host_tiers, random};
+    use crate::dot::Tier;
     use rand::SeedableRng;
 
     fn naive(a: &Tensor, b: &Tensor) -> Tensor {
@@ -331,41 +150,60 @@ mod tests {
         out
     }
 
+    /// `dot` runs the tier its length picks, and every tier's one-row value
+    /// is within 1e-5 relative of the portable scalar body's.
     #[test]
     fn dot_matches_scalar_kernel() {
-        use rand::Rng;
         let mut rng = rand::rngs::StdRng::seed_from_u64(5);
         for n in [0usize, 1, 3, 7, 8, 9, 31, 32, 33, 100, 1023] {
-            let a: Vec<f32> = (0..n).map(|_| rng.gen::<f32>() - 0.5).collect();
-            let b: Vec<f32> = (0..n).map(|_| rng.gen::<f32>() - 0.5).collect();
-            let fast = dot(&a, &b);
-            let scalar = dot_scalar(&a, &b);
-            let scale = 1.0f32.max(scalar.abs());
-            assert!(
-                (fast - scalar).abs() / scale < 1e-5,
-                "n={n}: dot {fast} vs scalar {scalar}"
-            );
+            let a = vec![random(&mut rng, n)];
+            let b = vec![random(&mut rng, n)];
+            let scalar = check_block::<f32, 1, 1>(Tier::Scalar, &a, &b)[0][0];
+            for tier in host_tiers() {
+                let got = check_block::<f32, 1, 1>(tier, &a, &b)[0][0];
+                let scale = 1.0f32.max(scalar.abs());
+                assert!(
+                    (got - scalar).abs() / scale < 1e-5,
+                    "n={n} {tier:?}: {got} vs scalar {scalar}"
+                );
+                if tier == f32::tier(n) {
+                    assert_eq!(dot(&a[0], &b[0]).to_bits(), got.to_bits(), "n={n}");
+                }
+            }
         }
     }
 
+    /// A 4-row block — the shape `matmul_transb` and `matvec` run — gives
+    /// each row the one-row `dot` bits, within 1e-5 relative of the scalar
+    /// body, on every tier this host runs.
     #[test]
     fn dot4_matches_four_dots() {
-        use rand::Rng;
         let mut rng = rand::rngs::StdRng::seed_from_u64(6);
         for n in [0usize, 3, 15, 16, 17, 63, 64, 65, 200, 1031] {
-            let w: Vec<f32> = (0..n).map(|_| rng.gen::<f32>() - 0.5).collect();
-            let ts: Vec<Vec<f32>> = (0..4)
-                .map(|_| (0..n).map(|_| rng.gen::<f32>() - 0.5).collect())
-                .collect();
-            let got = dot4(&w, &ts[0], &ts[1], &ts[2], &ts[3]);
-            for j in 0..4 {
-                let want = dot_scalar(&w, &ts[j]);
+            let w = vec![random(&mut rng, n)];
+            let ts: Vec<Vec<f32>> = (0..4).map(|_| random(&mut rng, n)).collect();
+            let got = dots::<f32, 4, 1>([&w[0]], [&ts[0], &ts[1], &ts[2], &ts[3]]);
+            for (j, t) in ts.iter().enumerate() {
+                assert_eq!(got[j][0].to_bits(), dot(&w[0], t).to_bits(), "n={n} j={j}");
+                let want =
+                    check_block::<f32, 1, 1>(Tier::Scalar, &w, std::slice::from_ref(t))[0][0];
                 let scale = 1.0f32.max(want.abs());
                 assert!(
-                    (got[j] - want).abs() / scale < 1e-5,
-                    "n={n} j={j}: dot4 {} vs scalar {want}",
-                    got[j]
+                    (got[j][0] - want).abs() / scale < 1e-5,
+                    "n={n} j={j}: 4-row block {} vs scalar {want}",
+                    got[j][0]
                 );
+            }
+            for tier in host_tiers() {
+                check_block::<f32, 4, 1>(tier, &w, &ts);
+            }
+            // `matvec` over 7 rows: one 4-row block and three one-row
+            // leftovers, every entry with the `dot` bits.
+            let rows: Vec<f32> = (0..7).flat_map(|_| random(&mut rng, n)).collect();
+            let a = Tensor::from_vec(rows, [7, n]);
+            let mv = matvec(&a, &Tensor::from_vec(w[0].clone(), [n]));
+            for i in 0..7 {
+                assert_eq!(mv.as_slice()[i].to_bits(), dot(a.row(i), &w[0]).to_bits());
             }
         }
     }
@@ -402,6 +240,22 @@ mod tests {
         let viaexp = matmul(&c.transpose2(), &d);
         let direct = matmul_transa(&c, &d);
         assert!(viaexp.max_abs_diff(&direct) < 1e-5);
+
+        // Blocked rows and the one-row tail are each the plain `dot`.
+        let a = Tensor::randn([3, 70], &mut rng);
+        let b = Tensor::randn([7, 70], &mut rng);
+        let v = Tensor::randn([70], &mut rng);
+        let ab = matmul_transb(&a, &b);
+        let bv = matvec(&b, &v);
+        for j in 0..7 {
+            assert_eq!(
+                bv.as_slice()[j].to_bits(),
+                dot(b.row(j), v.as_slice()).to_bits()
+            );
+            for i in 0..3 {
+                assert_eq!(ab.at2(i, j).to_bits(), dot(a.row(i), b.row(j)).to_bits());
+            }
+        }
     }
 
     #[test]

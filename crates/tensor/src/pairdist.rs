@@ -8,8 +8,8 @@
 //!
 //! * [`pairdist`] — the full `N×M` squared-distance matrix, computed as
 //!   `D[i,j] = |a_i|² + |b_j|² − 2·a_i·b_j` from precomputed row norms plus
-//!   the runtime-dispatched AVX2/FMA [`dot`]/[`dot4`] kernels, tiled so the
-//!   corpus block stays cache-resident, with a [`parallel_chunks_mut`]
+//!   4-row blocks of the [`dots`] kernel family, tiled so the corpus block
+//!   stays cache-resident, with a [`parallel_chunks_mut`]
 //!   row-block fan-out (persistent-pool workers; row-block ownership is a
 //!   function of the chunk index alone) writing the result in place (no
 //!   gather copy).
@@ -22,9 +22,9 @@
 //!   and probed-scan primitives underneath [`knn_into`], exported so the
 //!   IVF index (`tcsl_analyzers::index`) can merge shortlists from several
 //!   repacked corpus cells into one accumulator with *bit-identical*
-//!   distances and ordering: [`dot4`]'s rounding depends only on the
-//!   operand pair, never on which rows share its group, so a row scanned
-//!   from a repacked cell scores exactly as it does in the full corpus.
+//!   distances and ordering: a [`dots`] entry depends only on its operand
+//!   pair, never on which rows share its block, so a row scanned from a
+//!   repacked cell scores exactly as it does in the full corpus.
 //! * [`pairdist_oracle`] / [`knn_oracle`] — the naive scalar formulations,
 //!   kept as the agreement oracle for proptests and benchmarks.
 //!
@@ -39,12 +39,10 @@
 //!   (via `total_cmp`), matching the analyzers' NaN-tolerant sorting; they
 //!   never abort a query.
 //! * **Exact self-distance.** `D[i,j]` is exactly `0.0` when the two rows
-//!   are bit-identical: norms and cross terms go through the *same*
-//!   [`dot4`] lane path (whose rounding depends only on the operand pair,
-//!   not the lane), so the norm and the cross term are the same f32 `x` and
-//!   `x + x − 2x` cancels exactly in IEEE arithmetic — on the scalar and
-//!   the AVX2/FMA dispatch path alike. Self-match detection by `d < eps`
-//!   keeps working.
+//!   are bit-identical: a norm and a cross term of the same operands are
+//!   the same [`dots`] value whatever the block shape, so they are the same
+//!   f32 `x` and `x + x − 2x` cancels exactly in IEEE arithmetic, on every
+//!   tier. Self-match detection by `d < eps` keeps working.
 //! * **Magnitude domain.** The norms+dot identity needs `|v|²` to be
 //!   representable; once a row's squared norm overflows f32 (entries
 //!   around 1e19 at representation dims) it would degenerate to
@@ -53,7 +51,7 @@
 //!   whenever the oracle does (and still yields NaN for NaN features,
 //!   whose norms are NaN).
 
-use crate::matmul::dot4;
+use crate::dot::{dots, TapElem};
 use crate::parallel::parallel_chunks_mut;
 use crate::tensor::Tensor;
 use std::cmp::Ordering;
@@ -67,20 +65,15 @@ const ROW_BLOCK: usize = 64;
 /// streams over it.
 const COL_TILE: usize = 256;
 
-/// Squared Euclidean norm of every row of `x`, via the same [`dot4`] lane
-/// path the cross terms take. Using plain [`dot`](crate::matmul::dot) here
-/// would break the exact-self-distance contract at dims ≥ the FMA dispatch
-/// threshold: `dot_fma` accumulates in 8×8 lanes while `dot4_fma` uses
-/// 2×8, and the two round differently, so `|a|² + |a|² − 2·a·a` would not
-/// cancel for bit-identical rows. `dot4`'s rounding depends only on the
-/// operand pair, not the lane, so one lane of `dot4(r, r, r, r, r)` is
-/// bit-identical to the cross term the engine computes for that pair.
+/// Squared Euclidean norm of every row of `x`: the one-row [`dots`] value
+/// of the row against itself, bit-identical to the cross term a blocked
+/// call computes for that pair (the exact-self-distance contract).
 pub fn row_sq_norms(x: &Tensor) -> Vec<f32> {
-    crate::matmul::count_dot_dispatch(x.cols(), 4 * x.rows() as u64);
+    f32::count_dispatch(x.cols(), x.rows() as u64);
     (0..x.rows())
         .map(|i| {
             let r = x.row(i);
-            dot4(r, r, r, r, r)[0]
+            dots::<f32, 1, 1>([r], [r])[0][0]
         })
         .collect()
 }
@@ -112,17 +105,16 @@ fn pair_sq_dist(qn: f32, nbj: f32, dv: f32, q: &[f32], r: &[f32]) -> f32 {
     }
 }
 
-/// Dot products of `q` against corpus rows `j..te` (at most 4), always via
-/// [`dot4`] — the tail pads with repeats of the last row so every `(i, j)`
-/// pair takes the identical kernel path. `dot4`'s rounding only depends on
-/// the operand pair, not the lane, which keeps `pairdist(x, x)` bitwise
+/// Dot products of `q` against corpus rows `j..te` (at most 4) in one
+/// 4-row [`dots`] block; a short tail repeats its last row. Each entry
+/// depends only on its operand pair, which keeps `pairdist(x, x)` bitwise
 /// symmetric and [`knn_into`] bit-identical to [`pairdist`].
 #[inline]
 fn dot_group(q: &[f32], b: &Tensor, j: usize, te: usize) -> [f32; 4] {
     let r = (te - j).min(4);
     debug_assert!(r >= 1);
     let at = |l: usize| b.row(j + l.min(r - 1));
-    dot4(q, at(0), at(1), at(2), at(3))
+    dots::<f32, 4, 1>([q], [at(0), at(1), at(2), at(3)]).map(|[d]| d)
 }
 
 /// Blocked pairwise squared-Euclidean distances: `D (N×M)` with
@@ -158,7 +150,7 @@ pub fn pairdist(a: &Tensor, b: &Tensor) -> Tensor {
         // tracing is on, so the disabled path stays a plain tile loop.
         let mut tile_ns = tcsl_obs::hist::LocalHistogram::new(&tcsl_obs::hist::PAIRDIST_TILE_NS);
         let timing = tcsl_obs::enabled();
-        // `dot4` doesn't count its own dispatch (it's the innermost hot
+        // `dots` doesn't count its own dispatch (it's the innermost hot
         // call); tally the chunk's dot products here and record them once.
         let mut dots = 0u64;
         let mut tile = 0usize;
@@ -187,7 +179,7 @@ pub fn pairdist(a: &Tensor, b: &Tensor) -> Tensor {
             }
             tile = te;
         }
-        crate::matmul::count_dot_dispatch(a.cols(), dots);
+        f32::count_dispatch(a.cols(), dots);
     });
     out
 }
@@ -236,7 +228,8 @@ fn cand_gt(a: (usize, f32), b: (usize, f32)) -> bool {
 /// Folds candidate `(idx, d)` into the `k`-bounded max-heap stored in
 /// `heap`'s own buffer (classic sift-up/sift-down — no separate heap
 /// structure, no allocation beyond growing `heap` to `k` once). The heap
-/// invariant is over [`cand_gt`], so the retained set is exactly the `k`
+/// invariant is over the `(total_cmp distance, index)` order, so the
+/// retained set is exactly the `k`
 /// smallest candidates under `(total_cmp distance, index)` regardless of
 /// arrival order — which is what lets the IVF index merge probed cells in
 /// any cell order and still match the exact engine's tie-breaks.
@@ -288,10 +281,10 @@ pub fn topk_sort(heap: &mut [(usize, f32)]) {
 /// folding candidates into the `k`-bounded accumulator `acc` under the
 /// engine's global contract. `norms` are the cell rows' [`row_sq_norms`]
 /// and `ids` their *original* corpus indices; `qn` is the query's own
-/// `dot4`-path squared norm. Because [`dot4`]'s rounding depends only on
-/// the operand pair (not the lane or the group), a row scores bit-identical
-/// here to what [`pairdist`]/[`knn_into`] compute for it in the full
-/// corpus — so probing every cell reproduces the exact engine's neighbour
+/// [`row_sq_norms`] entry. Because a [`dots`] entry depends only on its
+/// operand pair (not on the rows sharing its block), a row scores
+/// bit-identical here to what [`pairdist`]/[`knn_into`] compute for it in
+/// the full corpus — so probing every cell reproduces the exact engine's neighbour
 /// sets, distances, and tie-breaks verbatim. This is the probe primitive
 /// of the IVF index in `tcsl_analyzers::index`.
 pub fn scan_cell_into(
@@ -319,7 +312,7 @@ pub fn scan_cell_into(
     }
     let mut tiles = tcsl_obs::counters::LocalCounter::new(&tcsl_obs::counters::PAIRDIST_TILES);
     tiles.add(m.div_ceil(COL_TILE) as u64);
-    crate::matmul::count_dot_dispatch(q.len(), 4 * m.div_ceil(4) as u64);
+    f32::count_dispatch(q.len(), 4 * m.div_ceil(4) as u64);
     let mut j = 0usize;
     while j < m {
         let ds = dot_group(q, cell, j, m);
@@ -403,7 +396,7 @@ pub fn knn_into(queries: &Tensor, corpus: &Tensor, k: usize, out: &mut Vec<Vec<(
             }
             tile = te;
         }
-        crate::matmul::count_dot_dispatch(queries.cols(), dots);
+        f32::count_dispatch(queries.cols(), dots);
         for heap in rows_out.iter_mut() {
             topk_sort(heap);
         }

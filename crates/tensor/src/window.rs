@@ -5,7 +5,7 @@
 //! rows of a matrix so the comparison becomes one `matmul_transb` against the
 //! shapelet bank.
 
-use crate::quant::TapElem;
+use crate::dot::{dots, TapElem};
 use crate::tensor::Tensor;
 
 /// Number of stride-`stride` windows of length `len` in a series of length
@@ -139,143 +139,43 @@ pub fn window_sq_norms(series: &Tensor, len: usize, stride: usize) -> Vec<f32> {
     acc.into_iter().map(|x| x as f32).collect()
 }
 
-/// Dot product of a flattened channel-major shapelet (layout
+/// Dot products of `R` flattened channel-major tap rows (layout
 /// `[var0[0..len], var1[0..len], ...]`, matching [`unfold`] rows) against
-/// the window starting at `start`, reading the series in place. Generic over
-/// the tap element: `f32` taps run [`crate::matmul::dot`], binary16 taps the
-/// mixed-precision kernels of [`crate::quant`].
+/// the `W` windows starting at `starts`, reading the series in place:
+/// `out[r][w]` sums, in variable order, the per-variable [`dots`] values.
+/// Every entry therefore equals the one-row `window_dots::<T, 1, 1>` value
+/// bit for bit, whatever the block shape.
 ///
 /// Dispatch telemetry is the caller's job (batch one
 /// [`TapElem::count_dispatch`] per window loop): this kernel runs once per
-/// window, and even a disabled gate check here would be measurable.
-#[inline]
-pub fn window_dot<T: TapElem>(series: &Tensor, shapelet: &[T], start: usize, len: usize) -> f32 {
-    let d = series.rows();
-    debug_assert_eq!(shapelet.len(), d * len, "shapelet width mismatch");
-    let mut cross = 0.0f32;
-    for v in 0..d {
-        let row = series.row(v);
-        cross += T::dot(&row[start..start + len], &shapelet[v * len..(v + 1) * len]);
-    }
-    cross
-}
-
-/// [`window_dot`] for four shapelets at once, via the load-sharing
-/// [`TapElem::dot4`] kernel: the window is streamed through the registers
-/// once and FMA-ed against all four tap rows. Backbone of the fused
-/// transform's shapelet-blocked inner loop.
-#[inline]
-pub fn window_dot4<T: TapElem>(
+/// window block, and even a disabled gate check here would be measurable.
+#[inline(always)]
+pub fn window_dots<T: TapElem, const R: usize, const W: usize>(
     series: &Tensor,
-    taps: [&[T]; 4],
-    start: usize,
+    taps: [&[T]; R],
+    starts: [usize; W],
     len: usize,
-) -> [f32; 4] {
+) -> [[f32; W]; R] {
     let d = series.rows();
     debug_assert!(
         taps.iter().all(|t| t.len() == d * len),
         "shapelet width mismatch"
     );
-    let mut cross = [0.0f32; 4];
-    for v in 0..d {
-        let span = v * len..(v + 1) * len;
-        let r = T::dot4(
-            &series.row(v)[start..start + len],
-            taps.map(|t| &t[span.clone()]),
-        );
-        for (c, x) in cross.iter_mut().zip(r) {
-            *c += x;
-        }
-    }
-    cross
-}
-
-/// [`window_dot4`] with a 2-row tap block ([`TapElem::dot2`]).
-#[inline]
-pub fn window_dot2<T: TapElem>(
-    series: &Tensor,
-    taps: [&[T]; 2],
-    start: usize,
-    len: usize,
-) -> [f32; 2] {
-    let d = series.rows();
-    debug_assert!(
-        taps.iter().all(|t| t.len() == d * len),
-        "shapelet width mismatch"
-    );
-    let mut cross = [0.0f32; 2];
-    for v in 0..d {
-        let span = v * len..(v + 1) * len;
-        let r = T::dot2(
-            &series.row(v)[start..start + len],
-            taps.map(|t| &t[span.clone()]),
-        );
-        for (c, x) in cross.iter_mut().zip(r) {
-            *c += x;
-        }
-    }
-    cross
-}
-
-/// [`window_dot2`] against four window positions at once, sharing every tap
-/// load across them ([`TapElem::dot2x4`]). Returns `cross[w][row]`; each
-/// entry is bit-identical to the corresponding single-window
-/// [`window_dot2`] value.
-#[inline]
-pub fn window_dot2x4<T: TapElem>(
-    series: &Tensor,
-    taps: [&[T]; 2],
-    starts: [usize; 4],
-    len: usize,
-) -> [[f32; 2]; 4] {
-    let d = series.rows();
-    debug_assert!(
-        taps.iter().all(|t| t.len() == d * len),
-        "shapelet width mismatch"
-    );
-    let mut cross = [[0.0f32; 2]; 4];
+    let mut cross = [[0.0f32; W]; R];
     for v in 0..d {
         let row = series.row(v);
         let span = v * len..(v + 1) * len;
-        let r = T::dot2x4(
+        let r = dots(
             starts.map(|s| &row[s..s + len]),
             taps.map(|t| &t[span.clone()]),
         );
         for (c, x) in cross.iter_mut().zip(r) {
-            for (cc, xx) in c.iter_mut().zip(x) {
-                *cc += xx;
+            for (c, x) in c.iter_mut().zip(x) {
+                *c += x;
             }
         }
     }
     cross
-}
-
-/// Dot products of a flattened channel-major shapelet against **every**
-/// stride-`stride` window, streaming over the original series buffer — the
-/// zero-materialization replacement for `unfold` + one `matmul_transb`
-/// column. Appends `count_windows` values to `out`.
-pub fn sliding_dots(
-    series: &Tensor,
-    shapelet: &[f32],
-    len: usize,
-    stride: usize,
-    out: &mut Vec<f32>,
-) {
-    let (d, t) = (series.rows(), series.cols());
-    assert_eq!(shapelet.len(), d * len, "shapelet width mismatch");
-    let n = count_windows(t, len, stride);
-    crate::matmul::count_dot_dispatch(len, (d * n) as u64);
-    let base = out.len();
-    out.resize(base + n, 0.0);
-    let dst = &mut out[base..];
-    for v in 0..d {
-        let row = series.row(v);
-        let taps = &shapelet[v * len..(v + 1) * len];
-        for (w, o) in dst.iter_mut().enumerate() {
-            let start = w * stride;
-            *o += crate::matmul::dot(&row[start..start + len], taps);
-        }
-    }
 }
 
 /// Extracts a single window `(D, len)` starting at `start` from a `(D, T)`
@@ -315,6 +215,57 @@ pub fn window_row_into(series: &Tensor, start: usize, len: usize, dst: &mut [f32
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Scoring every window with `window_dots` matches the unfold-then-
+    /// matmul route, and each score is the in-order sum of the
+    /// per-variable one-row dots, bit for bit.
+    #[test]
+    fn sliding_dots_match_unfold_matmul() {
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(22);
+        for &(d, t, len, stride) in &[(1usize, 20usize, 3usize, 1usize), (2, 17, 4, 2)] {
+            let s = Tensor::randn([d, t], &mut rng);
+            let shapelet = Tensor::randn([1, d * len], &mut rng);
+            let taps = shapelet.as_slice();
+            let want = crate::matmul::matmul_transb(&unfold(&s, len, stride), &shapelet);
+            assert_eq!(count_windows(t, len, stride), want.rows());
+            for i in 0..want.rows() {
+                let start = i * stride;
+                let got = window_dots(&s, [taps], [start], len)[0][0];
+                assert!((got - want.at2(i, 0)).abs() < 1e-4, "window {i}");
+                let mut sum = 0.0f32;
+                for v in 0..d {
+                    let span = v * len..(v + 1) * len;
+                    sum += crate::matmul::dot(&s.row(v)[start..start + len], &taps[span]);
+                }
+                assert_eq!(got.to_bits(), sum.to_bits(), "window {i}");
+            }
+        }
+    }
+
+    /// A 4-row block gives each row the one-row `window_dots` bits.
+    #[test]
+    fn window_dot4_matches_single_window_dots() {
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(23);
+        for &(d, t, len, stride) in &[(1usize, 30usize, 5usize, 1usize), (3, 90, 70, 2)] {
+            let s = Tensor::randn([d, t], &mut rng);
+            let bank = Tensor::randn([4, d * len], &mut rng);
+            let taps = [bank.row(0), bank.row(1), bank.row(2), bank.row(3)];
+            for w in 0..count_windows(t, len, stride) {
+                let got = window_dots(&s, taps, [w * stride], len);
+                for (j, &tap_row) in taps.iter().enumerate() {
+                    let want = window_dots(&s, [tap_row], [w * stride], len)[0][0];
+                    assert_eq!(
+                        got[j][0].to_bits(),
+                        want.to_bits(),
+                        "w={w} j={j}: {} vs {want}",
+                        got[j][0]
+                    );
+                }
+            }
+        }
+    }
 
     #[test]
     fn counts() {
@@ -411,50 +362,6 @@ mod tests {
                     (norm - direct).abs() < 1e-4 * (1.0 + direct),
                     "window {i}: prefix {norm} vs direct {direct}"
                 );
-            }
-        }
-    }
-
-    #[test]
-    fn sliding_dots_match_unfold_matmul() {
-        use rand::SeedableRng;
-        let mut rng = rand::rngs::StdRng::seed_from_u64(22);
-        for &(d, t, len, stride) in &[(1usize, 20usize, 3usize, 1usize), (2, 17, 4, 2)] {
-            let s = Tensor::randn([d, t], &mut rng);
-            let shapelet = Tensor::randn([1, d * len], &mut rng);
-            let mut got = Vec::new();
-            sliding_dots(&s, shapelet.as_slice(), len, stride, &mut got);
-            let w = unfold(&s, len, stride);
-            let want = crate::matmul::matmul_transb(&w, &shapelet);
-            assert_eq!(got.len(), want.rows());
-            for (i, &g) in got.iter().enumerate() {
-                assert!((g - want.at2(i, 0)).abs() < 1e-4, "window {i}");
-            }
-            // window_dot agrees with the vectorized variant bit-for-bit.
-            for (i, &g) in got.iter().enumerate() {
-                assert_eq!(g, window_dot(&s, shapelet.as_slice(), i * stride, len));
-            }
-        }
-    }
-
-    #[test]
-    fn window_dot4_matches_single_window_dots() {
-        use rand::SeedableRng;
-        let mut rng = rand::rngs::StdRng::seed_from_u64(23);
-        for &(d, t, len, stride) in &[(1usize, 30usize, 5usize, 1usize), (3, 90, 70, 2)] {
-            let s = Tensor::randn([d, t], &mut rng);
-            let bank = Tensor::randn([4, d * len], &mut rng);
-            let taps = [bank.row(0), bank.row(1), bank.row(2), bank.row(3)];
-            for w in 0..count_windows(t, len, stride) {
-                let got = window_dot4(&s, taps, w * stride, len);
-                for (j, &tap_row) in taps.iter().enumerate() {
-                    let want = window_dot(&s, tap_row, w * stride, len);
-                    assert!(
-                        (got[j] - want).abs() < 1e-4 * (1.0 + want.abs()),
-                        "w={w} j={j}: {} vs {want}",
-                        got[j]
-                    );
-                }
             }
         }
     }
