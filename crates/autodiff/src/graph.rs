@@ -36,10 +36,10 @@ pub struct VarId(pub(crate) usize);
 ///
 /// Implementations must be `Send + Sync`: graphs cross thread boundaries in
 /// data-parallel training, and one op instance may be shared (via `Arc`)
-/// between the clones a worker makes. State stashed by `forward` for
-/// `backward` (e.g. argmin indices) therefore needs interior mutability
-/// with a fallback to recomputation — see `ShapeletDistanceOp` in
-/// `tcsl-shapelet` for the canonical pattern.
+/// between the clones a worker makes. State `backward` needs (e.g. argmin
+/// indices) is therefore best computed before the node is inserted and
+/// held immutably by the op — see `ShapeletDistanceOp` in `tcsl-shapelet`,
+/// built from a finished pooling.
 pub trait CustomOp: Send + Sync + std::fmt::Debug {
     /// Computes the output value from the input values.
     fn forward(&self, inputs: &[&Tensor]) -> Tensor;

@@ -5,7 +5,14 @@
 //!
 //! A dispatch microbench prices the fixed per-call cost of the persistent
 //! worker pool, and one instrumented rep collects the pool's per-thread
-//! busy-time spans (`pool.worker.NN` / `pool.caller`) into the report.
+//! busy-time spans (`pool.worker.NN` / `pool.caller`) and the number of dot
+//! products the kernels dispatched (`dot.dispatch.*`, summed over tiers)
+//! into the report.
+//!
+//! Cases: MotifEasy (univariate, T = 128, scales 8 and 16) at 3 and 5
+//! grains, and the `bench_e2e` `pretrain` shape — the GestureFull train
+//! split (D = 3, T = 315) with the adaptive bank for T = 315 (scales
+//! 32/63/126/252 × 3 measures × 10 shapelets) at grains 0.5/0.75/1.0.
 //!
 //! Run from the repo root:
 //!
@@ -114,6 +121,11 @@ fn leg_json(l: &Leg) -> String {
 
 struct Case {
     label: &'static str,
+    /// Archive dataset whose train split the case trains on.
+    data: &'static str,
+    /// The adaptive bank for the series length, instead of the fixed
+    /// MotifEasy bank.
+    adaptive: bool,
     epochs: usize,
     grains: Vec<f32>,
 }
@@ -173,14 +185,16 @@ fn dispatch_overhead(threads: usize, k: usize) -> f64 {
 /// One instrumented parallel pretrain rep, returning the pool's
 /// per-thread span aggregates (`pool.worker.NN` busy time per worker plus
 /// the caller's own `pool.caller` share) as a JSON object keyed by span
-/// path. Runs against the in-memory trace sink and resets all telemetry
-/// state afterwards so the timed legs stay uninstrumented.
-fn per_thread_span_json(
+/// path, and the dot products the rep dispatched (every `dot.dispatch.*`
+/// tier summed, a function of the workload alone). Runs against the
+/// in-memory trace sink and resets all telemetry state afterwards so the
+/// timed legs stay uninstrumented.
+fn instrumented_rep(
     threads: usize,
     bank0: &ShapeletBank,
     ds: &Dataset,
     cfg: &CslConfig,
-) -> String {
+) -> (String, u64) {
     std::env::set_var("TCSL_THREADS", threads.to_string());
     tcsl_obs::trace::use_memory_sink();
     tcsl_obs::set_enabled(true);
@@ -198,6 +212,11 @@ fn per_thread_span_json(
         .map(|(path, s)| (path, s.count, s.total_ns as f64 / 1e6))
         .collect();
     rows.sort_by(|a, b| a.0.cmp(&b.0));
+    let dots = tcsl_obs::counters::counter_snapshot()
+        .iter()
+        .filter(|(name, _)| name.starts_with("dot.dispatch."))
+        .map(|&(_, n)| n)
+        .sum();
     tcsl_obs::set_enabled(false);
     tcsl_obs::trace::reset_sink();
     tcsl_obs::counters::reset();
@@ -214,7 +233,19 @@ fn per_thread_span_json(
         );
     }
     json.push('}');
-    json
+    (json, dots)
+}
+
+/// The bank's shape: `scales x measures x shapelets`, e.g.
+/// `32/63/126/252 x 3 x 10`.
+fn bank_label(cfg: &ShapeletConfig) -> String {
+    let scales: Vec<String> = cfg.lengths.iter().map(usize::to_string).collect();
+    format!(
+        "{} x {} x {}",
+        scales.join("/"),
+        cfg.measures.len(),
+        cfg.k_per_group
+    )
 }
 
 fn main() {
@@ -227,10 +258,6 @@ fn main() {
     let parallel_threads = if host_cores > 1 { host_cores } else { 4 };
     let reps = if smoke { 1 } else { 3 };
 
-    let entry = archive::by_name("MotifEasy").expect("MotifEasy in archive");
-    let (train, _test) = archive::generate_split(&entry, 11);
-    let train = train.znormed();
-
     let shapelet_cfg = ShapeletConfig {
         lengths: vec![8, 16],
         k_per_group: if smoke { 2 } else { 4 },
@@ -238,11 +265,13 @@ fn main() {
         stride: 1,
     };
 
-    // Parallelism in pretrain fans out per view pair = per grain, so the
-    // grain count bounds the usable worker count per batch.
+    // Each batch fans out per series (pooling every crop), then per view
+    // pair = per grain.
     let cases = if smoke {
         vec![Case {
             label: "smoke_2grains",
+            data: "MotifEasy",
+            adaptive: false,
             epochs: 1,
             grains: vec![0.75, 1.0],
         }]
@@ -250,20 +279,39 @@ fn main() {
         vec![
             Case {
                 label: "motif_easy_3grains",
+                data: "MotifEasy",
+                adaptive: false,
                 epochs: 3,
                 grains: vec![0.5, 0.75, 1.0],
             },
             Case {
                 label: "motif_easy_5grains",
+                data: "MotifEasy",
+                adaptive: false,
                 epochs: 3,
                 grains: vec![0.4, 0.55, 0.7, 0.85, 1.0],
+            },
+            Case {
+                label: "gesture_full_adaptive_3grains",
+                data: "GestureFull",
+                adaptive: true,
+                epochs: 3,
+                grains: vec![0.5, 0.75, 1.0],
             },
         ]
     };
 
     let mut entries = Vec::new();
     for case in &cases {
-        let mut bank = ShapeletBank::new(&shapelet_cfg, train.n_vars());
+        let entry = archive::by_name(case.data).expect("case dataset in archive");
+        let (train, _test) = archive::generate_split(&entry, 11);
+        let train = train.znormed();
+        let bank_cfg = if case.adaptive {
+            ShapeletConfig::adaptive(train.max_len())
+        } else {
+            shapelet_cfg.clone()
+        };
+        let mut bank = ShapeletBank::new(&bank_cfg, train.n_vars());
         init_from_data(&mut bank, &train, 4, &mut seeded(1));
         let cfg = CslConfig {
             epochs: case.epochs,
@@ -307,9 +355,10 @@ fn main() {
         );
         let speedup = serial.best_secs / parallel.best_secs;
 
-        // Per-thread busy time under the pool: one instrumented rep,
-        // separate from the timed legs above.
-        let thread_spans = per_thread_span_json(parallel_threads, &bank, &train, &cfg);
+        // Per-thread busy time under the pool and the dot-product count:
+        // one instrumented rep, separate from the timed legs above.
+        let (thread_spans, dot_dispatches) =
+            instrumented_rep(parallel_threads, &bank, &train, &cfg);
 
         // Old-vs-new training path, both serial so the allocation and
         // wall-clock numbers are directly comparable: the eager-graph
@@ -332,8 +381,10 @@ fn main() {
         let mut entry = String::new();
         let _ = write!(
             entry,
-            "{{\"case\":\"{}\",\"epochs\":{},\"grains\":{},\"batch_size\":{},\"serial_secs\":{:.4},\"parallel_secs\":{:.4},\"parallel_threads\":{},\"speedup\":{:.2},\"deterministic\":{},\"serial\":{},\"parallel\":{},\"oracle_serial\":{},\"oracle_over_fused_peak_alloc\":{:.2},\"obs_hits\":{},\"obs_disabled_overhead_frac\":{:.6},\"per_thread_spans\":{},\"losses\":{}}}",
+            "{{\"case\":\"{}\",\"data\":\"{}\",\"bank\":\"{}\",\"epochs\":{},\"grains\":{},\"batch_size\":{},\"serial_secs\":{:.4},\"parallel_secs\":{:.4},\"parallel_threads\":{},\"speedup\":{:.2},\"deterministic\":{},\"serial\":{},\"parallel\":{},\"oracle_serial\":{},\"oracle_over_fused_peak_alloc\":{:.2},\"obs_hits\":{},\"obs_disabled_overhead_frac\":{:.6},\"dot_dispatches\":{},\"per_thread_spans\":{},\"losses\":{}}}",
             case.label,
+            case.data,
+            bank_label(&bank_cfg),
             case.epochs,
             case.grains.len(),
             cfg.batch_size,
@@ -348,6 +399,7 @@ fn main() {
             peak_ratio,
             obs_hits,
             obs_overhead_frac,
+            dot_dispatches,
             thread_spans,
             loss_json(&serial.report)
         );
@@ -366,7 +418,7 @@ fn main() {
     );
 
     let report = format!(
-        "{{\"bench\":\"pretrain\",\"schema_version\":{},\"host\":{},\"pool_overhead\":{},\"unit_note\":\"serial = TCSL_THREADS=1, parallel = one worker per core (oversubscribed to 4 on 1-core hosts, where no speedup is possible) on the persistent pool; oracle_serial = eager-graph diff path (materialized window leaves) on 1 thread; secs are min over {} runs; peak_alloc_mb = high-water mark above pre-call live bytes (min over runs); deterministic = bit-identical losses and final shapelets, serial vs parallel (asserted); pool_overhead prices one near-empty pool dispatch in microseconds; per_thread_spans = busy-time of each pool context over one instrumented rep\",\"cases\":[\n  {}\n]}}\n",
+        "{{\"bench\":\"pretrain\",\"schema_version\":{},\"host\":{},\"pool_overhead\":{},\"unit_note\":\"serial = TCSL_THREADS=1, parallel = one worker per core (oversubscribed to 4 on 1-core hosts, where no speedup is possible) on the persistent pool; oracle_serial = eager-graph diff path (materialized window leaves) on 1 thread; secs are min over {} runs; peak_alloc_mb = high-water mark above pre-call live bytes (min over runs); deterministic = bit-identical losses and final shapelets, serial vs parallel (asserted); pool_overhead prices one near-empty pool dispatch in microseconds; per_thread_spans = busy-time of each pool context over one instrumented rep; dot_dispatches = dot products the kernels dispatched over that rep, every dot.dispatch.* tier summed (deterministic)\",\"cases\":[\n  {}\n]}}\n",
         tcsl_bench::contract::SCHEMA_VERSION,
         tcsl_bench::contract::host_record(),
         pool_overhead,
@@ -383,6 +435,7 @@ fn main() {
             "cases[].serial.peak_alloc_mb",
             "cases[].oracle_serial",
             "cases[].per_thread_spans",
+            "cases[].dot_dispatches",
             "cases[].deterministic=true",
         ],
     );

@@ -3,10 +3,14 @@
 //! pairs must agree with per-pair subgraphs reduced in fixed pair order —
 //! the worker/reducer split of `pretrain`; agreement is up to f32
 //! round-off, as the two paths sum the same per-pair contributions in
-//! different association orders), and for the model format's cross-version
+//! different association orders), for its two fan-outs (crops pooled per
+//! series, then graphs per pair, give each pair the per-view path's
+//! gradients bit for bit), and for the model format's cross-version
 //! compatibility: v2 and legacy bare-bank files load as f32, re-save as v3
 //! and keep transforms bit-identical.
 
+use crate::config::CslConfig;
+use crate::trainer::batch_pair_grads;
 use crate::views::sample_views;
 use proptest::prelude::*;
 use tcsl_autodiff::{Graph, ParamStore, VarId};
@@ -38,6 +42,36 @@ fn arb_setup() -> impl Strategy<Value = (ShapeletBank, Dataset, Vec<f32>, f32, u
         let weight = [0.0f32, 0.5, 1.0][align_case];
         (bank, ds, grains, weight, seed)
     })
+}
+
+/// Banks and series for the two-fan-out contract: D from 1 to 3, a scale
+/// longer than every grain-0.3 crop (so those crops are zero-padded),
+/// strides 1–3 (so crop starts fall off the stride grid).
+fn arb_fan_out_setup() -> impl Strategy<Value = (ShapeletBank, Dataset, f32, u64)> {
+    (
+        1usize..4,
+        2usize..5,
+        12usize..30,
+        1usize..4,
+        0u64..1000,
+        0usize..2,
+    )
+        .prop_map(|(d, n, t, stride, seed, align_case)| {
+            let mut rng = seeded(seed);
+            let cfg = ShapeletConfig {
+                lengths: vec![3, 10],
+                k_per_group: [2, 3][align_case],
+                measures: Measure::ALL.to_vec(),
+                stride,
+            };
+            let mut bank = ShapeletBank::new(&cfg, d);
+            bank.randomize(&mut rng);
+            let series = (0..n)
+                .map(|_| TimeSeries::new(Tensor::randn([d, t], &mut rng)))
+                .collect();
+            let weight = [0.0f32, 0.5][align_case];
+            (bank, Dataset::unlabeled("prop", series), weight, seed)
+        })
 }
 
 fn mean_nodes(g: &mut Graph, nodes: &[VarId]) -> VarId {
@@ -134,6 +168,54 @@ proptest! {
                 gi,
                 diff
             );
+        }
+    }
+
+    #[test]
+    fn two_fan_outs_match_per_view_gradients(
+        (bank, ds, weight, seed) in arb_fan_out_setup()
+    ) {
+        // The trainer pools every crop of a series in one pass per group,
+        // then builds each pair's graph from those poolings. Each pair's
+        // losses and gradients must be the per-view path's, bit for bit.
+        let cfg = CslConfig {
+            grains: vec![0.3, 0.7, 1.0],
+            min_crop: 2,
+            alignment_weight: weight,
+            ..CslConfig::default()
+        };
+        let indices: Vec<usize> = (0..ds.len()).collect();
+        let mut ps = ParamStore::new();
+        for (i, g) in bank.groups().iter().enumerate() {
+            ps.register(format!("group{i}"), g.shapelets.clone());
+        }
+        let pairs = {
+            let mut rng = seeded(seed ^ 0xF00D);
+            sample_views(&ds, &indices, &cfg.grains, cfg.min_crop, &mut rng)
+        };
+        let fanned = batch_pair_grads(&ps, &bank, &cfg, &ds, &indices, &pairs);
+        prop_assert_eq!(fanned.len(), pairs.len());
+        for (p, (pair, got)) in pairs.iter().zip(&fanned).enumerate() {
+            let mut g = Graph::new();
+            let bound = BoundBank { group_vars: ps.bind(&mut g) };
+            let za = diff_features_batch(&mut g, &bank, &bound, &pair.views_a);
+            let zb = diff_features_batch(&mut g, &bank, &bound, &pair.views_b);
+            let contrast = nt_xent(&mut g, za, zb, cfg.temperature);
+            let (align, loss) = if weight > 0.0 {
+                let align = multi_scale_alignment(&mut g, &bank, za);
+                let weighted = g.mul_scalar(align, weight);
+                (g.value(align).item(), g.add(contrast, weighted))
+            } else {
+                (0.0, contrast)
+            };
+            prop_assert_eq!(got.contrast.to_bits(), g.value(contrast).item().to_bits(), "pair {}", p);
+            prop_assert_eq!(got.align.to_bits(), align.to_bits(), "pair {}", p);
+            let mut grads = g.backward(loss);
+            let want = ps.collect_grads(&mut grads, &bound.group_vars);
+            for (gi, (a, b)) in got.grads.iter().zip(&want).enumerate() {
+                let bits = |t: &Tensor| t.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                prop_assert_eq!(bits(a), bits(b), "pair {} group {} gradients", p, gi);
+            }
         }
     }
 

@@ -8,18 +8,30 @@
 //!
 //! # Data-parallel execution
 //!
-//! The per-grain view pairs of one batch are independent given the current
-//! parameter values, so each pair's forward/backward runs as its own
-//! subgraph on a persistent-pool worker
+//! Each batch is two fan-outs on the persistent worker pool
 //! ([`tcsl_tensor::parallel::parallel_map`] — parked workers woken per
-//! batch rather than OS threads spawned per batch; thread count
-//! overridable via `TCSL_THREADS`, re-read each dispatch): every worker
-//! builds a private [`Graph`], binds the same read-only parameter
-//! snapshot, and returns its pair's losses and gradients. The main thread then reduces
-//! the gradients **in fixed pair order** and takes one optimizer step.
-//! View sampling stays on the main-thread RNG and reduction order never
-//! depends on the schedule, so training is bit-for-bit identical at any
-//! thread count (`training_is_thread_count_invariant`).
+//! dispatch rather than OS threads spawned per batch; thread count
+//! overridable via `TCSL_THREADS`, re-read each dispatch), both against one
+//! read-only parameter snapshot:
+//!
+//! 1. **Per series** — every crop of the series, at every grain, is pooled
+//!    by every group from one scan of the series' windows per group
+//!    ([`pool_series_crops`]). Each series fills its own slot.
+//! 2. **Per view pair** — each grain's pair builds a private [`Graph`],
+//!    inserts its crops' finished poolings in the order the per-view path
+//!    builds them (all first crops, then all second crops, groups in bank
+//!    order), and returns its losses and gradients.
+//!
+//! The main thread then reduces the gradients **in fixed pair order** and
+//! takes one optimizer step. View sampling stays on the main-thread RNG and
+//! neither the slots nor the reduction order depend on the schedule, so
+//! training is bit-for-bit identical at any thread count
+//! (`training_is_thread_count_invariant`). A pooling shared across crops
+//! equals the crop's own ([`tcsl_shapelet::fused::pool_crops`]) and the
+//! tape sums the same nodes in the same order, so training is also
+//! bit-identical to building every view on its own
+//! (`two_fan_outs_match_per_view_gradients`). [`DiffPath::Oracle`] keeps
+//! the per-view eager path.
 
 // Training/experiment path — panics on internal bugs are policy here
 // (DESIGN.md, "Error taxonomy & panic policy"), so the request-path error
@@ -29,11 +41,16 @@
 use crate::config::CslConfig;
 use crate::loss::{multi_scale_alignment, nt_xent};
 use crate::views::{sample_views, ViewPair};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
-use tcsl_autodiff::{Adam, Graph, Optimizer, ParamStore};
+use tcsl_autodiff::{Adam, Graph, Optimizer, ParamStore, VarId};
 use tcsl_data::Dataset;
-use tcsl_shapelet::diff_transform::{diff_features_batch_via, write_back, BoundBank, WindowCache};
-use tcsl_shapelet::ShapeletBank;
+use tcsl_shapelet::diff_op::ShapeletDistanceOp;
+use tcsl_shapelet::diff_transform::oracle::diff_features_batch_oracle;
+use tcsl_shapelet::diff_transform::{
+    diff_features_pooled, pool_series_crops, write_back, BoundBank, DiffPath, WindowCache,
+};
+use tcsl_shapelet::{GroupPrecomp, ShapeletBank};
 use tcsl_tensor::parallel::parallel_map;
 use tcsl_tensor::rng::{permutation, seeded};
 use tcsl_tensor::Tensor;
@@ -100,47 +117,120 @@ fn epoch_batches(order: &[usize], batch_size: usize) -> Vec<Vec<usize>> {
     chunks
 }
 
-/// One worker unit of data-parallel pre-training: the full forward/backward
-/// of a single view pair against a shared read-only parameter snapshot.
-/// Builds its own tape, so any number of these run concurrently.
-struct PairGrad {
-    contrast: f32,
-    align: f32,
-    grads: Vec<Tensor>,
+/// The forward pass of one batch's view pairs, up to the pair graphs.
+enum BatchPoolings {
+    /// Every crop's finished poolings, `[series][2·pair + view][group]`,
+    /// pooled once per series against the parameter snapshot.
+    Fused(Vec<Vec<Vec<Arc<ShapeletDistanceOp>>>>),
+    /// [`DiffPath::Oracle`]: each pair builds its views itself.
+    Oracle,
+}
+
+impl BatchPoolings {
+    /// Fan-out 1: pools every crop of every series of `indices` (the
+    /// series `pairs` was sampled from), one series per work item.
+    fn new(
+        ps: &ParamStore,
+        bank: &ShapeletBank,
+        cfg: &CslConfig,
+        ds: &Dataset,
+        indices: &[usize],
+        pairs: &[ViewPair],
+    ) -> BatchPoolings {
+        if cfg.diff_path == DiffPath::Oracle {
+            return BatchPoolings::Oracle;
+        }
+        let pre: Vec<GroupPrecomp> = (0..ps.len()).map(|i| GroupPrecomp::of(ps.get(i))).collect();
+        BatchPoolings::Fused(parallel_map(indices.len(), |i| {
+            let series = Arc::new(ds.series(indices[i]).values().clone());
+            let crops: Vec<(usize, &Tensor)> = pairs
+                .iter()
+                .flat_map(|p| {
+                    [
+                        (p.starts_a[i], &p.views_a[i]),
+                        (p.starts_b[i], &p.views_b[i]),
+                    ]
+                })
+                .collect();
+            // One cache spans every crop of the series, so identical crops
+            // (the full-grain pair) share their window state.
+            let mut cache = WindowCache::new();
+            pool_series_crops(bank, &pre, &series, &crops, &mut cache)
+        }))
+    }
+
+    /// Both views of pair `p` as `(B, D_repr)` feature nodes of `g`: all
+    /// first views, then all second views, each row one series' groups in
+    /// bank order — the node order of the per-view path, so the tape sums
+    /// gradients in the same order.
+    fn views(
+        &self,
+        g: &mut Graph,
+        bank: &ShapeletBank,
+        bound: &BoundBank,
+        pairs: &[ViewPair],
+        p: usize,
+    ) -> (VarId, VarId) {
+        match self {
+            BatchPoolings::Fused(series) => {
+                let mut side = |view: usize| {
+                    let rows: Vec<VarId> = series
+                        .iter()
+                        .map(|crops| diff_features_pooled(g, bound, &crops[2 * p + view]))
+                        .collect();
+                    g.concat_rows(&rows)
+                };
+                let za = side(0);
+                let zb = side(1);
+                (za, zb)
+            }
+            BatchPoolings::Oracle => {
+                let za = diff_features_batch_oracle(g, bank, bound, &pairs[p].views_a);
+                let zb = diff_features_batch_oracle(g, bank, bound, &pairs[p].views_b);
+                (za, zb)
+            }
+        }
+    }
+}
+
+/// One worker unit of data-parallel pre-training: a single view pair's
+/// losses and gradients against a shared read-only parameter snapshot,
+/// from its own tape, so any number of these run concurrently.
+pub(crate) struct PairGrad {
+    pub(crate) contrast: f32,
+    pub(crate) align: f32,
+    pub(crate) grads: Vec<Tensor>,
+}
+
+/// Every pair's losses and gradients, in pair order: fan-out 1 pools the
+/// batch's crops, fan-out 2 runs one [`pair_forward_backward`] per pair.
+pub(crate) fn batch_pair_grads(
+    ps: &ParamStore,
+    bank: &ShapeletBank,
+    cfg: &CslConfig,
+    ds: &Dataset,
+    indices: &[usize],
+    pairs: &[ViewPair],
+) -> Vec<PairGrad> {
+    let pooled = BatchPoolings::new(ps, bank, cfg, ds, indices, pairs);
+    parallel_map(pairs.len(), |p| {
+        pair_forward_backward(ps, bank, cfg, &pooled, pairs, p)
+    })
 }
 
 fn pair_forward_backward(
     ps: &ParamStore,
     bank: &ShapeletBank,
     cfg: &CslConfig,
-    pair: &ViewPair,
+    pooled: &BatchPoolings,
+    pairs: &[ViewPair],
+    p: usize,
 ) -> PairGrad {
     let mut g = Graph::new();
     let bound = BoundBank {
         group_vars: ps.bind(&mut g),
     };
-    // One window cache spans both views of the pair: full-grain views are
-    // bit-identical crops, so their padded buffers and prefix-sum norms
-    // are computed once and shared (the cache is worker-local — it cannot
-    // perturb the fixed-order reduction that keeps training
-    // thread-count-invariant).
-    let mut cache = WindowCache::new();
-    let za = diff_features_batch_via(
-        cfg.diff_path,
-        &mut g,
-        bank,
-        &bound,
-        &pair.views_a,
-        &mut cache,
-    );
-    let zb = diff_features_batch_via(
-        cfg.diff_path,
-        &mut g,
-        bank,
-        &bound,
-        &pair.views_b,
-        &mut cache,
-    );
+    let (za, zb) = pooled.views(&mut g, bank, &bound, pairs, p);
     let contrast = nt_xent(&mut g, za, zb, cfg.temperature);
     let (align_val, loss) = if cfg.alignment_weight > 0.0 {
         let align = multi_scale_alignment(&mut g, bank, za);
@@ -259,10 +349,11 @@ pub fn pretrain(bank: &mut ShapeletBank, ds: &Dataset, cfg: &CslConfig) -> Train
             tcsl_obs::hist::TRAINER_BATCH_PAIRS.record(pairs.len() as u64);
             epoch_pairs += pairs.len();
 
-            // Fan out: one independent subgraph per pair, on the shared
-            // persistent pool. `parallel_map` returns results in pair
-            // order whatever the schedule, and a worker panic re-raises
-            // here without killing the pool for the next batch.
+            // Fan out twice on the shared persistent pool: pool every
+            // series' crops, then one independent subgraph per pair.
+            // `parallel_map` returns results in item order whatever the
+            // schedule, and a worker panic re-raises here without killing
+            // the pool for the next batch.
             //
             // A non-finite feature value trips the tape's finiteness check
             // deep inside a worker, where the panic names the op but not
@@ -270,9 +361,7 @@ pub fn pretrain(bank: &mut ShapeletBank, ds: &Dataset, cfg: &CslConfig) -> Train
             // epoch/batch context (and the structured event) before
             // re-raising; unrelated panics resume untouched.
             let forward = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                parallel_map(pairs.len(), |p| {
-                    pair_forward_backward(&ps, bank, cfg, &pairs[p])
-                })
+                batch_pair_grads(&ps, bank, cfg, ds, &chunk, &pairs)
             }));
             let results = match forward {
                 Ok(r) => r,
@@ -373,28 +462,13 @@ pub fn pretrain(bank: &mut ShapeletBank, ds: &Dataset, cfg: &CslConfig) -> Train
             let mut vrng = seeded(cfg.seed ^ 0xA11DA7); // fixed validation stream
             let pairs = sample_views(ds, &val_idx, &cfg.grains, cfg.min_crop, &mut vrng);
             tcsl_obs::counters::TRAINER_PAIRS.add(pairs.len() as u64);
+            let pooled = BatchPoolings::new(&ps, bank, cfg, ds, &val_idx, &pairs);
             let vals = parallel_map(pairs.len(), |p| {
                 let mut g = Graph::new();
                 let bound = BoundBank {
                     group_vars: ps.bind(&mut g),
                 };
-                let mut cache = WindowCache::new();
-                let za = diff_features_batch_via(
-                    cfg.diff_path,
-                    &mut g,
-                    bank,
-                    &bound,
-                    &pairs[p].views_a,
-                    &mut cache,
-                );
-                let zb = diff_features_batch_via(
-                    cfg.diff_path,
-                    &mut g,
-                    bank,
-                    &bound,
-                    &pairs[p].views_b,
-                    &mut cache,
-                );
+                let (za, zb) = pooled.views(&mut g, bank, &bound, &pairs, p);
                 let v = nt_xent(&mut g, za, zb, cfg.temperature);
                 g.value(v).item()
             });

@@ -8,12 +8,14 @@
 //! contrast across granularities.
 
 use rand::Rng;
-use tcsl_data::augment::random_crop;
+use tcsl_data::augment::random_crop_start;
 use tcsl_data::Dataset;
+use tcsl_tensor::window::window_at;
 use tcsl_tensor::Tensor;
 
 /// A pair of view batches at one grain: `views_a[i]` and `views_b[i]` are
-/// crops of the same underlying series.
+/// crops of the same underlying series, starting at `starts_a[i]` and
+/// `starts_b[i]` of it.
 pub struct ViewPair {
     /// Crop-length fraction this pair was sampled at.
     pub grain: f32,
@@ -21,6 +23,10 @@ pub struct ViewPair {
     pub views_a: Vec<Tensor>,
     /// Second view of each series.
     pub views_b: Vec<Tensor>,
+    /// Where each first view starts in its series.
+    pub starts_a: Vec<usize>,
+    /// Where each second view starts in its series.
+    pub starts_b: Vec<usize>,
 }
 
 /// Samples a [`ViewPair`] per grain for the series at `indices`.
@@ -36,6 +42,8 @@ pub fn sample_views(
         .map(|&grain| {
             let mut views_a = Vec::with_capacity(indices.len());
             let mut views_b = Vec::with_capacity(indices.len());
+            let mut starts_a = Vec::with_capacity(indices.len());
+            let mut starts_b = Vec::with_capacity(indices.len());
             for &i in indices {
                 let s = ds.series(i);
                 // Lower bound clamps to at least 1: with `min_crop == 0` a
@@ -46,13 +54,20 @@ pub fn sample_views(
                 // loudly; this guard keeps direct callers safe too.
                 let len = ((s.len() as f32 * grain).round() as usize)
                     .clamp(min_crop.clamp(1, s.len()), s.len());
-                views_a.push(random_crop(s, len, rng).values().clone());
-                views_b.push(random_crop(s, len, rng).values().clone());
+                for (views, starts) in
+                    [(&mut views_a, &mut starts_a), (&mut views_b, &mut starts_b)]
+                {
+                    let start = random_crop_start(s.len(), len, rng);
+                    views.push(window_at(s.values(), start, len));
+                    starts.push(start);
+                }
             }
             ViewPair {
                 grain,
                 views_a,
                 views_b,
+                starts_a,
+                starts_b,
             }
         })
         .collect()
@@ -110,6 +125,30 @@ mod tests {
         for p in &pairs {
             for v in p.views_a.iter().chain(&p.views_b) {
                 assert!(v.cols() >= 1, "sampled a zero-length view");
+            }
+        }
+    }
+
+    #[test]
+    fn views_are_crops_at_their_recorded_starts() {
+        // Each view is its series cropped at the recorded start, and a
+        // fixed seed gives the crops it gave before starts were recorded.
+        let ds = ds();
+        let indices = [1, 3, 4];
+        let pairs = sample_views(&ds, &indices, &[0.5, 0.75, 1.0], 4, &mut seeded(21));
+        let want: [([usize; 3], [usize; 3]); 3] = [
+            ([2, 4, 14], [16, 11, 10]),
+            ([1, 6, 7], [9, 8, 9]),
+            ([0, 0, 0], [0, 0, 0]),
+        ];
+        for (p, (starts_a, starts_b)) in pairs.iter().zip(want) {
+            assert_eq!(p.starts_a, starts_a, "grain {}", p.grain);
+            assert_eq!(p.starts_b, starts_b, "grain {}", p.grain);
+            for (views, starts) in [(&p.views_a, &p.starts_a), (&p.views_b, &p.starts_b)] {
+                for ((view, &start), &i) in views.iter().zip(starts).zip(&indices) {
+                    let crop = ds.series(i).crop(start, view.cols());
+                    assert_eq!(view, crop.values(), "grain {} series {i}", p.grain);
+                }
             }
         }
     }

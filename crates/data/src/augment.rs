@@ -11,17 +11,21 @@ use tcsl_tensor::rng::gauss;
 
 /// A random contiguous crop of exactly `len` steps.
 pub fn random_crop(s: &TimeSeries, len: usize, rng: &mut impl Rng) -> TimeSeries {
-    let t = s.len();
+    s.crop(random_crop_start(s.len(), len, rng), len)
+}
+
+/// The start of a random crop of `len` steps out of `t`: uniform over every
+/// valid offset, and 0 without drawing when the crop is the whole series.
+pub fn random_crop_start(t: usize, len: usize, rng: &mut impl Rng) -> usize {
     assert!(
         len >= 1 && len <= t,
         "crop length {len} invalid for series of length {t}"
     );
-    let start = if len == t {
+    if len == t {
         0
     } else {
         rng.gen_range(0..=t - len)
-    };
-    s.crop(start, len)
+    }
 }
 
 /// A random crop whose length is `frac` of the series (at least `min_len`).

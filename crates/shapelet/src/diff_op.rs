@@ -6,17 +6,19 @@
 //! [`crate::diff_transform::oracle`]) inserts an `(N_w × D·len)` unfolded
 //! window matrix as a constant leaf per scale, per series, per worker
 //! graph, per batch — the exact materialization the fused inference kernel
-//! eliminated. This op instead:
+//! eliminated. This op instead is built from a **finished pooling** of one
+//! (scale, measure) group over one series or crop — [`pool_measure`], or
+//! [`pool_crops`](crate::fused::pool_crops) when the trainer pools all
+//! crops of a series in one pass — and keeps only what its two passes
+//! read:
 //!
-//! * **forward** — pools one (scale, measure) group over a shared
-//!   [`ScaleWindows`] via [`pool_measure`] (streaming dots, prefix-sum
-//!   window norms, bank-side tap repack from [`GroupPrecomp`]), recording
-//!   the best-window index per shapelet;
+//! * **forward** — returns the pooled values, recorded when the op was
+//!   built;
 //! * **backward** — routes the adjoint of each pooled feature to its best
 //!   window only (the min/max-pooling subgradient) and applies the
 //!   per-measure analytic rule against that one window, read straight out
-//!   of the series buffer ([`window_row_into`]) — peak memory is one
-//!   `D·len` scratch row, never `N_w × D·len`.
+//!   of the shared series buffer — peak memory is one `D·len` scratch row,
+//!   never `N_w × D·len`.
 //!
 //! The numerics match the oracle graph exactly, epsilon for epsilon:
 //! Euclidean applies the oracle's `sqrt(· + 1e-8)` softening on top of the
@@ -26,18 +28,17 @@
 //! Gradients are finite-difference checked per measure × stride and
 //! property-pinned to the oracle graph's gradients in `crate::proptests`.
 
-// Exempt from the error wall (clippy.toml) — autodiff op internals: width/lock invariants are
-// construction-time guarantees, not request input.
+// Exempt from the error wall (clippy.toml) — autodiff op internals: width
+// invariants are construction-time guarantees, not request input.
 #![allow(clippy::disallowed_methods, clippy::disallowed_macros)]
 
 use std::fmt;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use crate::bank::GroupPrecomp;
 use crate::fused::{pool_measure, ScaleWindows};
 use crate::measure::Measure;
 use tcsl_autodiff::CustomOp;
-use tcsl_tensor::window::window_row_into;
 use tcsl_tensor::Tensor;
 
 /// The epsilon of the oracle graph's `sqrt_eps` on the Euclidean branch —
@@ -47,43 +48,85 @@ pub const EUCLIDEAN_SQRT_EPS: f32 = 1e-8;
 /// One (scale, measure) group's pooled shapelet distances as a single tape
 /// node: input `(K, D·len)` shapelets, output `(1, K)` pooled features.
 ///
-/// The series side ([`ScaleWindows`]: padded buffer + prefix-sum window
-/// norms) is captured by the op and shared — via `Arc` — across all
-/// measures of a scale and across identical views of a training pair. One
-/// op instance backs one graph node: `forward` stashes the best-window
-/// indices for `backward` (interior mutability — the tape takes `&self`),
-/// and `backward` falls back to recomputing them if the stash was already
-/// consumed (e.g. a second `backward` sweep over the same tape).
+/// Built from a finished pooling of the input's values, so one op backs one
+/// graph node whose input holds those values. It keeps each shapelet's
+/// pooled feature, best window and that window's inverse norm, and the
+/// buffer the windows are read from: the crop's series, shared by every op
+/// of that series, with the offset where the crop starts in it.
 pub struct ShapeletDistanceOp {
-    sw: Arc<ScaleWindows>,
     measure: Measure,
-    saved_args: Mutex<Option<Vec<usize>>>,
+    len: usize,
+    stride: usize,
+    buffer: Arc<Tensor>,
+    offset: usize,
+    /// The crop's length; its windows read zeros past it, as a crop
+    /// shorter than the scale is zero-padded.
+    cols: usize,
+    best: Box<[Best]>,
+}
+
+/// One shapelet's pooled feature and the window it came from.
+struct Best {
+    value: f32,
+    window: u32,
+    /// `1 / √(‖w‖² + 1e-12)` of the window (cosine's backward reads it).
+    inv_norm: f32,
 }
 
 impl ShapeletDistanceOp {
-    /// Builds the op for one group: shared series-side window state plus
-    /// the group's measure.
-    pub fn new(sw: Arc<ScaleWindows>, measure: Measure) -> Self {
+    /// Builds the op from the finished pooling `(pooled, args)` of window
+    /// state `sw`, whose crop's `sw.cols` samples start at `offset` of
+    /// `buffer`. Euclidean applies the oracle path's `sqrt_eps` softening
+    /// to the pooled values (the argmin is unaffected — see the module
+    /// docs).
+    pub fn new(
+        measure: Measure,
+        sw: &ScaleWindows,
+        buffer: Arc<Tensor>,
+        offset: usize,
+        (values, args): (Vec<f32>, Vec<usize>),
+    ) -> Self {
+        debug_assert!(buffer.rows() == sw.padded.rows() && offset + sw.cols <= buffer.cols());
+        let best = values
+            .into_iter()
+            .zip(args)
+            .map(|(p, w)| Best {
+                value: match measure {
+                    Measure::Euclidean => (p * p + EUCLIDEAN_SQRT_EPS).sqrt(),
+                    _ => p,
+                },
+                window: u32::try_from(w).expect("window index fits in u32"),
+                inv_norm: sw.inv_norms[w],
+            })
+            .collect();
         ShapeletDistanceOp {
-            sw,
             measure,
-            saved_args: Mutex::new(None),
+            len: sw.len,
+            stride: sw.stride,
+            buffer,
+            offset,
+            cols: sw.cols,
+            best,
         }
     }
 
-    /// Pools the given shapelet rows, returning the pooled feature per
-    /// shapelet and the best-window index per shapelet. Euclidean applies
-    /// the oracle path's `sqrt_eps` softening to the pooled value (the
-    /// argmin is unaffected — see the module docs).
-    fn pool(&self, shapelets: &Tensor) -> (Vec<f32>, Vec<usize>) {
-        let pre = GroupPrecomp::of(shapelets);
-        let (mut pooled, args) = pool_measure(&self.sw, self.measure, &pre);
-        if self.measure == Measure::Euclidean {
-            for p in &mut pooled {
-                *p = (*p * *p + EUCLIDEAN_SQRT_EPS).sqrt();
-            }
+    /// Pools `pre`'s shapelets over every window of `sw` and builds the op
+    /// on `sw`'s own buffer.
+    pub fn pool(measure: Measure, sw: &ScaleWindows, pre: &GroupPrecomp) -> Self {
+        let pooled = pool_measure(sw, measure, pre);
+        Self::new(measure, sw, Arc::clone(&sw.padded), 0, pooled)
+    }
+
+    /// Writes window `w` of the crop channel-major into `dst`: the crop's
+    /// samples, then zeros past its end.
+    fn window_into(&self, w: usize, dst: &mut [f32]) {
+        let start = w * self.stride;
+        let real = self.len.min(self.cols - start);
+        let from = self.offset + start;
+        for (v, row) in dst.chunks_exact_mut(self.len).enumerate() {
+            row[..real].copy_from_slice(&self.buffer.row(v)[from..from + real]);
+            row[real..].fill(0.0);
         }
-        (pooled, args)
     }
 }
 
@@ -91,8 +134,8 @@ impl fmt::Debug for ShapeletDistanceOp {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "ShapeletDistanceOp({:?}, len={}, stride={}, windows={})",
-            self.measure, self.sw.len, self.sw.stride, self.sw.n
+            "ShapeletDistanceOp({:?}, len={}, stride={}, offset={})",
+            self.measure, self.len, self.stride, self.offset
         )
     }
 }
@@ -103,13 +146,16 @@ impl CustomOp for ShapeletDistanceOp {
         let shapelets = inputs[0];
         assert_eq!(
             shapelets.cols(),
-            self.sw.padded.rows() * self.sw.len,
+            self.buffer.rows() * self.len,
             "shapelet width must be D·len"
         );
-        let (pooled, args) = self.pool(shapelets);
-        let k = pooled.len();
-        *self.saved_args.lock().expect("saved-args lock poisoned") = Some(args);
-        Tensor::from_vec(pooled, [1, k])
+        assert_eq!(
+            shapelets.rows(),
+            self.best.len(),
+            "one feature per shapelet"
+        );
+        let values = self.best.iter().map(|b| b.value).collect();
+        Tensor::from_vec(values, [1, self.best.len()])
     }
 
     fn backward(
@@ -120,18 +166,8 @@ impl CustomOp for ShapeletDistanceOp {
     ) -> Vec<Option<Tensor>> {
         let shapelets = inputs[0];
         let k = shapelets.rows();
-        let sw = &*self.sw;
-        let len = sw.len;
         let row_w = shapelets.cols();
         let width = row_w as f32;
-        let args = self
-            .saved_args
-            .lock()
-            .expect("saved-args lock poisoned")
-            .take()
-            .unwrap_or_else(|| self.pool(shapelets).1);
-        debug_assert_eq!(args.len(), k);
-
         let g = grad_out.as_slice();
         let out = output.as_slice();
         let mut grad = Tensor::zeros([k, row_w]);
@@ -142,7 +178,8 @@ impl CustomOp for ShapeletDistanceOp {
             if gk == 0.0 {
                 continue;
             }
-            window_row_into(&sw.padded, args[kk] * sw.stride, len, &mut wrow);
+            let best = &self.best[kk];
+            self.window_into(best.window as usize, &mut wrow);
             let srow = shapelets.row(kk);
             let drow = grad.row_mut(kk);
             match self.measure {
@@ -162,7 +199,7 @@ impl CustomOp for ShapeletDistanceOp {
                     // f = ŵ*·ŝ with ŵ = w/√(‖w‖²+1e-12), ŝ = s/n,
                     // n = √(‖s‖²+1e-12). ∂f/∂s = (ŵ* − ŝ·f)/n — the
                     // tangent-space gradient of the oracle's row_normalize.
-                    let inv_w = sw.inv_norms[args[kk]];
+                    let inv_w = best.inv_norm;
                     let s_sq: f32 = srow.iter().map(|&x| x * x).sum();
                     let n = (s_sq + 1e-12).sqrt();
                     let f = out[kk];
@@ -191,6 +228,12 @@ mod tests {
     use tcsl_autodiff::Graph;
     use tcsl_tensor::rng::seeded;
 
+    /// The op for `shapelets` pooled over `sw`.
+    fn op(measure: Measure, sw: &ScaleWindows, shapelets: &Tensor) -> Arc<ShapeletDistanceOp> {
+        let pre = GroupPrecomp::of(shapelets);
+        Arc::new(ShapeletDistanceOp::pool(measure, sw, &pre))
+    }
+
     /// Finite-difference check of the analytic backward, one measure and
     /// stride at a time, through a square + mean head (so every feature
     /// contributes a distinct adjoint).
@@ -200,10 +243,10 @@ mod tests {
         let len = 4;
         let series = Tensor::randn([d, 19], &mut rng);
         let shapelets = Tensor::randn([3, d * len], &mut rng).scale(0.6);
-        let sw = Arc::new(ScaleWindows::new(&series, len, stride));
+        let sw = ScaleWindows::new(&series, len, stride);
         let report = gradcheck(&[shapelets], 1e-3, |g, xs| {
             let s = g.param(xs[0].clone());
-            let feats = g.custom(Arc::new(ShapeletDistanceOp::new(sw.clone(), measure)), &[s]);
+            let feats = g.custom(op(measure, &sw, &xs[0]), &[s]);
             let sq = g.square(feats);
             let loss = g.mean_all(sq);
             (vec![s], loss)
@@ -234,10 +277,10 @@ mod tests {
             let mut rng = seeded(60);
             let series = Tensor::randn([1, 3], &mut rng);
             let shapelets = Tensor::randn([2, 6], &mut rng).scale(0.5);
-            let sw = Arc::new(ScaleWindows::new(&series, 6, 1));
+            let sw = ScaleWindows::new(&series, 6, 1);
             let report = gradcheck(&[shapelets], 1e-3, |g, xs| {
                 let s = g.param(xs[0].clone());
-                let feats = g.custom(Arc::new(ShapeletDistanceOp::new(sw.clone(), measure)), &[s]);
+                let feats = g.custom(op(measure, &sw, &xs[0]), &[s]);
                 let sq = g.square(feats);
                 let loss = g.mean_all(sq);
                 (vec![s], loss)
@@ -256,30 +299,29 @@ mod tests {
         let mut rng = seeded(61);
         let series = Tensor::randn([2, 30], &mut rng);
         let shapelets = Tensor::randn([5, 2 * 4], &mut rng);
-        let sw = Arc::new(ScaleWindows::new(&series, 4, 1));
+        let sw = ScaleWindows::new(&series, 4, 1);
         let mut g = Graph::new();
+        let feats_op = op(Measure::Euclidean, &sw, &shapelets);
         let s = g.param(shapelets);
-        let feats = g.custom(
-            Arc::new(ShapeletDistanceOp::new(sw, Measure::Euclidean)),
-            &[s],
-        );
+        let feats = g.custom(feats_op, &[s]);
         let v = g.value(feats);
         assert_eq!(v.shape().dims(), &[1, 5]);
         assert!(v.as_slice().iter().all(|&x| x >= 0.0));
     }
 
     #[test]
-    fn second_backward_sweep_recomputes_saved_args() {
-        // The first backward consumes the stashed best-window indices; a
-        // second sweep over the same tape must transparently recompute
-        // them and produce identical gradients.
+    fn second_backward_sweep_gives_equal_gradients() {
+        // The op keeps its pooling for its lifetime, so a second sweep over
+        // the same tape reads the same best windows and produces identical
+        // gradients.
         let mut rng = seeded(62);
         let series = Tensor::randn([1, 25], &mut rng);
         let shapelets = Tensor::randn([3, 5], &mut rng);
-        let sw = Arc::new(ScaleWindows::new(&series, 5, 2));
+        let sw = ScaleWindows::new(&series, 5, 2);
         let mut g = Graph::new();
+        let feats_op = op(Measure::Cosine, &sw, &shapelets);
         let s = g.param(shapelets);
-        let feats = g.custom(Arc::new(ShapeletDistanceOp::new(sw, Measure::Cosine)), &[s]);
+        let feats = g.custom(feats_op, &[s]);
         let sq = g.square(feats);
         let loss = g.mean_all(sq);
         let g1 = g.backward(loss);
@@ -287,7 +329,7 @@ mod tests {
         assert_eq!(
             g1.get(s).unwrap().as_slice(),
             g2.get(s).unwrap().as_slice(),
-            "recomputed args diverged from saved args"
+            "a second backward sweep changed the gradients"
         );
     }
 }

@@ -1,13 +1,23 @@
 //! Differentiable shapelet transform for training.
 //!
 //! Gradients only flow to the *shapelets* (and any head stacked on top) —
-//! never to the input series — so the series side is precomputed once per
-//! (series, scale, stride) as a [`ScaleWindows`] (padded buffer +
-//! prefix-sum window norms) and captured by a
-//! [`ShapeletDistanceOp`] custom tape op per group. The op runs the same
-//! fused streaming kernel as inference in its forward and an arg-routed
-//! analytic rule in its backward, so training never materializes the
-//! `(N_w × D·len)` window matrix.
+//! never to the input series — so each (series, group) feature block is one
+//! [`ShapeletDistanceOp`] tape node built from a finished pooling: the same
+//! fused streaming kernel as inference computes the pooled values and best
+//! windows, and the node's backward applies an arg-routed analytic rule to
+//! the best windows, so training never materializes the `(N_w × D·len)`
+//! window matrix. There are two ways to get the poolings:
+//!
+//! * **per view** — [`diff_features_cached`] and its batch forms pool each
+//!   series against the values bound in the graph, sharing window state
+//!   through a [`WindowCache`];
+//! * **per series, for many crops** — [`pool_series_crops`] pools every
+//!   crop of one series with one scan of the series' windows per group
+//!   ([`pool_crops`]), against a precomputation of the parameter values
+//!   the ops will be bound to; [`diff_features_pooled`] then inserts one
+//!   crop's ops as a feature row. The trainer runs the first per series on
+//!   the worker pool and the second per view pair. Both ways give the same
+//!   bits.
 //!
 //! The original eager-graph formulation — windows materialized into a
 //! constant leaf, distances assembled from `matmul`/`relu`/`min_axis` ops —
@@ -22,9 +32,9 @@
 
 use std::sync::Arc;
 
-use crate::bank::ShapeletBank;
+use crate::bank::{GroupPrecomp, ShapeletBank};
 use crate::diff_op::ShapeletDistanceOp;
-use crate::fused::ScaleWindows;
+use crate::fused::{pool_crops, ScaleWindows};
 use tcsl_autodiff::{Graph, VarId};
 use tcsl_tensor::Tensor;
 
@@ -85,30 +95,26 @@ pub fn bind_frozen(g: &mut Graph, bank: &ShapeletBank) -> BoundBank {
     }
 }
 
-/// Cache of series-side window state, shared across graph nodes.
+/// Cache of series-side window state, shared across poolings.
 ///
 /// One [`ScaleWindows`] is an `O(D·T)` pass (padding + prefix-sum norms);
-/// every (scale, measure) group of the bank needs one, and during
-/// contrastive training the *same* series value recurs across graph nodes
-/// — full-grain views of a pair are bit-identical crops. Entries are keyed
-/// by `(len, stride)` plus value equality of the series, so a hit requires
+/// every (scale, measure) group of the bank needs one, and the *same*
+/// series value recurs: the groups of one scale share it, and in
+/// contrastive training full-grain crops of a series are bit-identical.
+/// The caller picks the scope — a batch of views, or every crop of one
+/// series at every grain, as the trainer does. Entries are keyed by
+/// `(len, stride)` plus value equality of the series, so a hit requires
 /// the cached padded buffer to start with exactly the series' values (the
 /// [`ScaleWindows`] is a pure function of those three, so equal keys mean
 /// an equal result).
 ///
-/// The cache hands out `Arc`s: each [`ShapeletDistanceOp`] keeps its
-/// window state alive for backward without copying it.
+/// The cache hands out `Arc`s; a [`ShapeletDistanceOp`] keeps only the
+/// window buffer alive, never the norms.
 #[derive(Default)]
 pub struct WindowCache {
-    entries: Vec<CacheEntry>,
+    entries: Vec<Arc<ScaleWindows>>,
     hits: usize,
     misses: usize,
-}
-
-struct CacheEntry {
-    /// Column count of the original (pre-padding) series.
-    orig_cols: usize,
-    sw: Arc<ScaleWindows>,
 }
 
 impl WindowCache {
@@ -120,18 +126,19 @@ impl WindowCache {
     /// Returns the window state for `(series, len, stride)`, computing and
     /// retaining it on first use.
     pub fn get(&mut self, series: &Tensor, len: usize, stride: usize) -> Arc<ScaleWindows> {
-        if let Some(e) = self.entries.iter().find(|e| e.matches(series, len, stride)) {
+        if let Some(sw) = self
+            .entries
+            .iter()
+            .find(|sw| holds(sw, series, len, stride))
+        {
             self.hits += 1;
             tcsl_obs::counters::WINDOW_CACHE_HIT.add(1);
-            return Arc::clone(&e.sw);
+            return Arc::clone(sw);
         }
         self.misses += 1;
         tcsl_obs::counters::WINDOW_CACHE_MISS.add(1);
         let sw = Arc::new(ScaleWindows::new(series, len, stride));
-        self.entries.push(CacheEntry {
-            orig_cols: series.cols(),
-            sw: Arc::clone(&sw),
-        });
+        self.entries.push(Arc::clone(&sw));
         sw
     }
 
@@ -146,15 +153,14 @@ impl WindowCache {
     }
 }
 
-impl CacheEntry {
-    fn matches(&self, series: &Tensor, len: usize, stride: usize) -> bool {
-        // `padded` zero-extends the series at the tail, so prefix equality
-        // over `orig_cols` columns is value equality of the series itself.
-        self.sw.matches(len, stride)
-            && self.orig_cols == series.cols()
-            && self.sw.padded.rows() == series.rows()
-            && (0..series.rows()).all(|v| self.sw.padded.row(v)[..self.orig_cols] == *series.row(v))
-    }
+/// Whether `sw` is the window state of `series` at `(len, stride)`.
+fn holds(sw: &ScaleWindows, series: &Tensor, len: usize, stride: usize) -> bool {
+    // `padded` zero-extends the series at the tail, so prefix equality
+    // over `cols` columns is value equality of the series itself.
+    sw.matches(len, stride)
+        && sw.cols == series.cols()
+        && sw.padded.rows() == series.rows()
+        && (0..series.rows()).all(|v| sw.padded.row(v)[..sw.cols] == *series.row(v))
 }
 
 /// Builds the feature row `(1, D_repr)` of one series against the bound
@@ -172,7 +178,8 @@ pub fn diff_features_cached(
     let mut parts: Vec<VarId> = Vec::with_capacity(bank.groups().len());
     for (gi, grp) in bank.groups().iter().enumerate() {
         let sw = cache.get(series, grp.len, grp.stride);
-        let op = Arc::new(ShapeletDistanceOp::new(sw, grp.measure));
+        let pre = GroupPrecomp::of(g.value(bound.group_vars[gi]));
+        let op = Arc::new(ShapeletDistanceOp::pool(grp.measure, &sw, &pre));
         let pooled = g.custom(op, &[bound.group_vars[gi]]);
         parts.push(pooled);
     }
@@ -233,6 +240,63 @@ pub fn diff_features_batch_via(
         DiffPath::Fused => diff_features_batch_cached(g, bank, bound, batch, cache),
         DiffPath::Oracle => oracle::diff_features_batch_oracle(g, bank, bound, batch),
     }
+}
+
+/// Every group's finished pooling of every crop of one series, as ops
+/// ready to insert: `out[c][gi]` is crop `c`'s op for group `gi`.
+/// `crops[c]` is where crop `c` starts in `series` and its values; `pre`
+/// is the precomputation of the parameter values the ops will be bound to
+/// (one per group, in bank order). Each group scores the series' windows
+/// once for all its crops ([`pool_crops`]), with each crop's window state
+/// from `cache`. An op reads its best windows back from `series` itself,
+/// so no window state outlives this call.
+pub fn pool_series_crops(
+    bank: &ShapeletBank,
+    pre: &[GroupPrecomp],
+    series: &Arc<Tensor>,
+    crops: &[(usize, &Tensor)],
+    cache: &mut WindowCache,
+) -> Vec<Vec<Arc<ShapeletDistanceOp>>> {
+    assert_eq!(series.rows(), bank.d, "series/bank variable count mismatch");
+    let mut out: Vec<Vec<Arc<ShapeletDistanceOp>>> = crops
+        .iter()
+        .map(|_| Vec::with_capacity(bank.groups().len()))
+        .collect();
+    for (grp, pre) in bank.groups().iter().zip(pre) {
+        let sws: Vec<Arc<ScaleWindows>> = crops
+            .iter()
+            .map(|&(_, crop)| cache.get(crop, grp.len, grp.stride))
+            .collect();
+        let views: Vec<(usize, &ScaleWindows)> = crops
+            .iter()
+            .zip(&sws)
+            .map(|(&(start, _), sw)| (start, &**sw))
+            .collect();
+        let pooled = pool_crops(series, &views, grp.measure, pre);
+        for ((ops, p), (start, sw)) in out.iter_mut().zip(pooled).zip(views) {
+            let op = ShapeletDistanceOp::new(grp.measure, sw, Arc::clone(series), start, p);
+            ops.push(Arc::new(op));
+        }
+    }
+    out
+}
+
+/// Inserts one series' finished poolings (one op per group, in bank order,
+/// from [`pool_series_crops`]) as its `(1, D_repr)` feature row against
+/// the bound bank. The bound values must be the ones the ops were pooled
+/// from.
+pub fn diff_features_pooled(
+    g: &mut Graph,
+    bound: &BoundBank,
+    ops: &[Arc<ShapeletDistanceOp>],
+) -> VarId {
+    assert_eq!(ops.len(), bound.group_vars.len(), "one op per group");
+    let parts: Vec<VarId> = ops
+        .iter()
+        .zip(&bound.group_vars)
+        .map(|(op, &var)| g.custom(op.clone(), &[var]))
+        .collect();
+    g.concat_cols(&parts)
 }
 
 /// Writes updated parameter values (from an optimizer step) back into the

@@ -24,6 +24,10 @@
 //!   stay cache resident across the per-block passes, each window is copied
 //!   once into a reused scratch row and scored against every shapelet block
 //!   while it sits in L1.
+//! * **One pass for many crops** — [`pool_crops`] pools several crops of
+//!   one series (training's views) from one scan of the series' windows:
+//!   each window is scored once per tap block and handed to every crop
+//!   that contains it, which scores it against its own norms.
 //!
 //! A kernel entry never depends on which rows share its block
 //! ([`tcsl_tensor::dot`]), and the engine depends on the series alone
@@ -40,6 +44,7 @@ use crate::bank::{GroupPrecomp, GroupTaps, ShapeletGroup, TapRows};
 use crate::measure::Measure;
 use crate::transform::pad_to_len;
 use std::ops::Range;
+use std::sync::Arc;
 use tcsl_tensor::dot::{TapElem, Tier};
 use tcsl_tensor::window::{count_windows, window_dots, window_row_into, window_sq_norms};
 use tcsl_tensor::Tensor;
@@ -53,9 +58,12 @@ pub struct ScaleWindows {
     pub stride: usize,
     /// Number of windows.
     pub n: usize,
+    /// Column count `T` of the series before padding.
+    pub cols: usize,
     /// The `(D, max(T, len))` series buffer windows are read from (equal to
-    /// the raw series whenever it is at least `len` long).
-    pub padded: Tensor,
+    /// the raw series whenever it is at least `len` long). Shared, so a
+    /// training op can read its best windows back without a copy.
+    pub padded: Arc<Tensor>,
     /// `‖w‖²` per window, from the O(T) prefix-sum pass.
     pub sq_norms: Vec<f32>,
     /// `1 / √(‖w‖² + 1e-12)` per window (cosine's window-side factor).
@@ -68,7 +76,7 @@ impl ScaleWindows {
     /// [`crate::transform::windows_for`]) and runs the prefix-sum norm
     /// pass.
     pub fn new(values: &Tensor, len: usize, stride: usize) -> ScaleWindows {
-        let padded = pad_to_len(values, len);
+        let padded = Arc::new(pad_to_len(values, len));
         let n = count_windows(padded.cols(), len, stride);
         let sq_norms = window_sq_norms(&padded, len, stride);
         let inv_norms = sq_norms.iter().map(|&w| 1.0 / (w + 1e-12).sqrt()).collect();
@@ -76,6 +84,7 @@ impl ScaleWindows {
             len,
             stride,
             n,
+            cols: values.cols(),
             padded,
             sq_norms,
             inv_norms,
@@ -173,7 +182,7 @@ pub(crate) fn pool_on(
     let width = (sw.padded.rows() * sw.len) as f32;
     let mut pooled = vec![f32::NAN; k];
     let mut args = vec![0usize; k];
-    scan(sw, pre, engine, 0..k, |kk, w, cross| {
+    scan(&Windows::of(sw), pre, engine, 0..k, |kk, w, cross| {
         let s = score(
             measure,
             cross,
@@ -189,6 +198,94 @@ pub(crate) fn pool_on(
         }
     });
     (pooled, args)
+}
+
+/// Pools one group over several crops of `series`: `crops[c]` is where crop
+/// `c` starts in the series and the crop's own window state
+/// ([`ScaleWindows::new`] of its values), all at the group's scale and
+/// stride. Returns each crop's [`pool_measure`] result, bit for bit.
+///
+/// Every contiguous run of the union of the crops' window ranges is scanned
+/// once through the block loop, in place in the series. Each window's dot
+/// products go to every crop that contains it, and each crop scores them
+/// against its own norms, visiting its windows in increasing order. The
+/// bits match a crop pooled alone because a crop's window is the same f32
+/// slice of the same series, the kernel tier depends on the length alone,
+/// and a block entry equals its tier's one-row value. A crop pools alone,
+/// through [`pool_measure`], when it is zero-padded (shorter than the
+/// scale), when its own engine is the blocked one, or when its start is off
+/// the series' stride grid.
+pub fn pool_crops(
+    series: &Tensor,
+    crops: &[(usize, &ScaleWindows)],
+    measure: Measure,
+    pre: &GroupPrecomp,
+) -> Vec<(Vec<f32>, Vec<usize>)> {
+    let k = pre.k();
+    let mut out = Vec::with_capacity(crops.len());
+    // (crop, its series window range) for every crop the shared scan serves.
+    let mut shared: Vec<(usize, Range<usize>)> = Vec::new();
+    for (c, &(start, sw)) in crops.iter().enumerate() {
+        debug_assert!(start + sw.cols <= series.cols() && sw.padded.rows() == series.rows());
+        if sw.cols >= sw.len && start % sw.stride == 0 && Engine::of(sw) == Engine::Fused {
+            let j0 = start / sw.stride;
+            shared.push((c, j0..j0 + sw.n));
+            out.push((vec![f32::NAN; k], vec![0usize; k]));
+        } else {
+            out.push(pool_measure(sw, measure, pre));
+        }
+    }
+    let Some(&(first, _)) = shared.first() else {
+        return out;
+    };
+    tcsl_obs::counters::SHAPELET_POOL_FUSED.add(shared.len() as u64);
+    let (len, stride) = (crops[first].1.len, crops[first].1.stride);
+    let width = (series.rows() * len) as f32;
+    shared.sort_by_key(|(_, r)| r.start);
+    let mut i = 0;
+    while i < shared.len() {
+        // One run: the crops whose ranges overlap or abut the first one's.
+        let mut run = shared[i].1.clone();
+        let mut end = i + 1;
+        while end < shared.len() && shared[end].1.start <= run.end {
+            run.end = run.end.max(shared[end].1.end);
+            end += 1;
+        }
+        let members = &shared[i..end];
+        let view = Windows {
+            series,
+            offset: run.start * stride,
+            len,
+            stride,
+            n: run.len(),
+        };
+        scan(&view, pre, Engine::Fused, 0..k, |kk, w, cross| {
+            let j = run.start + w;
+            for (c, r) in members {
+                if !r.contains(&j) {
+                    continue;
+                }
+                let sw = crops[*c].1;
+                let wc = j - r.start;
+                let s = score(
+                    measure,
+                    cross,
+                    sw,
+                    wc,
+                    pre.sq_norms[kk],
+                    pre.inv_norms[kk],
+                    width,
+                );
+                let (pooled, args) = &mut out[*c];
+                if wc == 0 || measure.better(s, pooled[kk]) {
+                    pooled[kk] = s;
+                    args[kk] = wc;
+                }
+            }
+        });
+        i = end;
+    }
+    out
 }
 
 /// Per-window scores of a single shapelet of the group — the streaming
@@ -214,9 +311,15 @@ pub fn shapelet_scores(
     let width = (sw.padded.rows() * sw.len) as f32;
     let (s_sq, s_inv) = (pre.sq_norms[k], pre.inv_norms[k]);
     let mut scores = vec![0.0f32; sw.n];
-    scan(sw, pre, Engine::of(sw), k..k + 1, |_, w, cross| {
-        scores[w] = score(g.measure, cross, sw, w, s_sq, s_inv, width);
-    });
+    scan(
+        &Windows::of(sw),
+        pre,
+        Engine::of(sw),
+        k..k + 1,
+        |_, w, cross| {
+            scores[w] = score(g.measure, cross, sw, w, s_sq, s_inv, width);
+        },
+    );
     scores
 }
 
@@ -241,70 +344,81 @@ fn score(
     }
 }
 
-/// Hands the raw dot product of every (tap row in `rows`, window) pair of
-/// the series to `f(row, window, cross)`, each row's windows in increasing
-/// order, through `engine`.
+/// Hands the raw dot product of every (tap row in `rows`, window of `view`)
+/// pair to `f(row, window, cross)`, each row's windows in increasing order,
+/// through `engine`.
 fn scan(
-    sw: &ScaleWindows,
+    view: &Windows,
     pre: &GroupPrecomp,
     engine: Engine,
     rows: Range<usize>,
     f: impl FnMut(usize, usize, f32),
 ) {
     match &pre.taps {
-        GroupTaps::F32(taps) => scan_taps(sw, taps, engine, rows, f),
-        GroupTaps::F16(taps) => scan_taps(sw, taps, engine, rows, f),
+        GroupTaps::F32(taps) => scan_taps(view, taps, engine, rows, f),
+        GroupTaps::F16(taps) => scan_taps(view, taps, engine, rows, f),
     }
 }
 
 fn scan_taps<T: TapElem>(
-    sw: &ScaleWindows,
+    view: &Windows,
     taps: &TapRows<T>,
     engine: Engine,
     rows: Range<usize>,
     mut f: impl FnMut(usize, usize, f32),
 ) {
-    let d = sw.padded.rows();
+    let d = view.series.rows();
     match engine {
         Engine::Fused => {
             // One gate check for the whole scan: one length-only dispatch
             // decision shared by every per-variable dot.
-            T::count_dispatch(sw.len, (rows.len() * d * sw.n) as u64);
-            let view = Windows {
-                series: &sw.padded,
-                len: sw.len,
-                stride: sw.stride,
-                n: sw.n,
-            };
-            scan_view(&view, taps, rows, &mut f);
+            T::count_dispatch(view.len, (rows.len() * d * view.n) as u64);
+            scan_view(view, taps, rows, &mut f);
         }
         Engine::Blocked => {
             // A copied window is one row of d·len, so dispatch is on that.
-            let row_w = d * sw.len;
-            T::count_dispatch(row_w, (rows.len() * sw.n) as u64);
+            let row_w = d * view.len;
+            T::count_dispatch(row_w, (rows.len() * view.n) as u64);
             let mut row = Tensor::zeros([1, row_w]);
-            for w in 0..sw.n {
-                window_row_into(&sw.padded, w * sw.stride, sw.len, row.as_mut_slice());
-                let view = Windows {
+            for w in 0..view.n {
+                let start = view.offset + w * view.stride;
+                window_row_into(view.series, start, view.len, row.as_mut_slice());
+                let one = Windows {
                     series: &row,
+                    offset: 0,
                     len: row_w,
                     stride: row_w,
                     n: 1,
                 };
-                scan_view(&view, taps, rows.clone(), &mut |k, _, c| f(k, w, c));
+                scan_view(&one, taps, rows.clone(), &mut |k, _, c| f(k, w, c));
             }
         }
     }
 }
 
-/// `n` windows of `len` steps, `stride` apart, read in place from `series`:
-/// the padded series itself (fused engine) or one copied window as a
-/// single variable of `D·len` steps (blocked engine).
+/// `n` windows of `len` steps, `stride` apart from `offset` on, read in
+/// place from `series`: a padded series, a run of a crop-sharing series
+/// ([`pool_crops`]) or one copied window as a single variable of `D·len`
+/// steps (blocked engine).
 struct Windows<'a> {
     series: &'a Tensor,
+    offset: usize,
     len: usize,
     stride: usize,
     n: usize,
+}
+
+impl<'a> Windows<'a> {
+    /// Every window of a window state's padded series.
+    fn of(sw: &'a ScaleWindows) -> Windows<'a> {
+        Windows {
+            series: &sw.padded,
+            offset: 0,
+            len: sw.len,
+            stride: sw.stride,
+            n: sw.n,
+        }
+    }
 }
 
 /// Scans tap rows `rows` over every window of `view` in blocks of the
@@ -356,7 +470,7 @@ fn scan_block<T: TapElem, const R: usize, const W: usize>(
     let rows: [&[T]; R] = std::array::from_fn(|j| taps.row(kb + j));
     let mut w = 0usize;
     while w + W <= view.n {
-        let starts: [usize; W] = std::array::from_fn(|i| (w + i) * view.stride);
+        let starts: [usize; W] = std::array::from_fn(|i| view.offset + (w + i) * view.stride);
         let cross = window_dots(view.series, rows, starts, view.len);
         for (j, c) in cross.iter().enumerate() {
             for (i, &x) in c.iter().enumerate() {
@@ -366,7 +480,7 @@ fn scan_block<T: TapElem, const R: usize, const W: usize>(
         w += W;
     }
     for w in w..view.n {
-        let cross = window_dots(view.series, rows, [w * view.stride], view.len);
+        let cross = window_dots(view.series, rows, [view.offset + w * view.stride], view.len);
         for (j, [x]) in cross.iter().enumerate() {
             f(kb + j, w, *x);
         }

@@ -5,7 +5,7 @@ use crate::bank::ShapeletBank;
 use crate::config::ShapeletConfig;
 use crate::diff_transform::oracle::diff_features_oracle;
 use crate::diff_transform::{bind_trainable, diff_features};
-use crate::fused::{pool_on, Engine, ScaleWindows};
+use crate::fused::{pool_crops, pool_measure, pool_on, Engine, ScaleWindows};
 use crate::measure::Measure;
 use crate::transform::{transform_dataset, transform_series, transform_series_oracle, windows_for};
 use proptest::prelude::*;
@@ -79,8 +79,69 @@ fn arb_subset_setup() -> impl Strategy<Value = (ShapeletBank, TimeSeries)> {
         })
 }
 
+/// Crops of a `t`-step series for the one-pass pooling contract, from
+/// `(kind, a, b)` draws: a random crop, a copy of the previous crop, a crop
+/// shorter than `short_len` (zero-padded at that scale), the whole series,
+/// or a short crop in the last quarter (disjoint from most others). Random
+/// starts fall off a stride > 1 grid as often as on it.
+fn crops_of(t: usize, short_len: usize, draws: &[(usize, usize, usize)]) -> Vec<(usize, usize)> {
+    let mut crops: Vec<(usize, usize)> = Vec::new();
+    for &(kind, a, b) in draws {
+        let crop = match (kind, crops.last()) {
+            (1, Some(&prev)) => prev,
+            (2, _) => {
+                let len = 1 + a % short_len.min(t);
+                (b % (t - len + 1), len)
+            }
+            (3, _) => (0, t),
+            (4, _) => {
+                let len = 1 + a % (t / 4).max(1);
+                (t - len - b % (t / 4 - len + 1).max(1), len)
+            }
+            _ => {
+                let len = 1 + a % t;
+                (b % (t - len + 1), len)
+            }
+        };
+        crops.push(crop);
+    }
+    crops
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
+
+    #[test]
+    fn pooling_crops_in_one_pass_matches_each_crop_alone(
+        (bank, series) in arb_subset_setup(),
+        draws in collection::vec((0usize..5, 0usize..10_000, 0usize..10_000), 1..7)
+    ) {
+        // Training pools every crop of a series from one scan of the
+        // series' windows; each crop must get exactly the pooled bits and
+        // best windows it gets pooled alone over its own window state.
+        let t = series.len();
+        let short_len = bank.groups().iter().map(|g| g.len).min().unwrap();
+        let crops = crops_of(t, short_len, &draws);
+        let values: Vec<Tensor> = crops
+            .iter()
+            .map(|&(start, len)| tcsl_tensor::window::window_at(series.values(), start, len))
+            .collect();
+        let pre = bank.precomputed();
+        for (gi, g) in bank.groups().iter().enumerate() {
+            let sws: Vec<ScaleWindows> =
+                values.iter().map(|v| ScaleWindows::new(v, g.len, g.stride)).collect();
+            let views: Vec<(usize, &ScaleWindows)> =
+                crops.iter().zip(&sws).map(|(&(start, _), sw)| (start, sw)).collect();
+            let shared = pool_crops(series.values(), &views, g.measure, &pre[gi]);
+            prop_assert_eq!(shared.len(), crops.len());
+            for (c, ((pooled, args), sw)) in shared.iter().zip(&sws).enumerate() {
+                let (want, want_args) = pool_measure(sw, g.measure, &pre[gi]);
+                let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                prop_assert_eq!(bits(pooled), bits(&want), "group {} crop {:?}", gi, crops[c]);
+                prop_assert_eq!(args, &want_args, "group {} crop {:?} best windows", gi, crops[c]);
+            }
+        }
+    }
 
     #[test]
     fn features_depend_on_their_shapelet_alone(

@@ -548,10 +548,11 @@ pub fn load_bench_metrics(path: &str) -> TcslResult<BTreeMap<String, f64>> {
 /// fields of two bench files, re-mapped so "higher is worse" holds for
 /// every compared name:
 ///
-/// * raw timings (`secs`, `*_secs`, `*_ms`, `*_us`, `*_ns`) keep their
-///   value under a `wall.` prefix — one `--ignore wall.` excludes all
-///   host-speed variance from breach detection when comparing across
-///   machines;
+/// * raw timings (`secs`, `*_secs`, `*_ms`, `*_us`, `*_ns`) and fields
+///   derived from them (`crossover_n`, the smallest N where one engine's
+///   p50 beats another's) keep their value under a `wall.` prefix — one
+///   `--ignore wall.` excludes all host-speed variance from breach
+///   detection when comparing across machines;
 /// * throughputs (`*per_sec*`) invert to `wall.inv.<name>` so *lower*
 ///   throughput is the increase;
 /// * higher-is-better ratios (`*speedup*`, `*recall*`, `*nmi*`) invert to
@@ -571,6 +572,7 @@ pub fn diff_bench(
             || last.ends_with("_ms")
             || last.ends_with("_us")
             || last.ends_with("_ns")
+            || last == "crossover_n"
     }
     fn is_quality_ratio(name: &str) -> bool {
         name.contains("speedup") || name.contains("recall") || name.contains("nmi")
@@ -746,6 +748,34 @@ mod tests {
         faster.insert("cases.0.speedup".to_string(), 9.0);
         let r = diff_bench(&faster, &base, &DiffConfig::default());
         assert!(r.breaches.is_empty(), "{:?}", r.breaches);
+    }
+
+    #[test]
+    fn bench_diff_bands_crossover_as_a_timing() {
+        // `crossover_n` is read off two p50s that sit close together, so it
+        // moves with the host's speed: the wall band covers it, while a
+        // recall drop stays gated.
+        let mut base = BTreeMap::new();
+        base.insert("crossover_n".to_string(), 512.0);
+        base.insert("cases.0.recall_at_10".to_string(), 0.95);
+        let mut moved = base.clone();
+        moved.insert("crossover_n".to_string(), 2048.0);
+        let band = DiffConfig {
+            ignore: vec!["wall.".to_string()],
+            ..DiffConfig::default()
+        };
+        let r = diff_bench(&moved, &base, &band);
+        assert!(r.breaches.is_empty(), "{:?}", r.breaches);
+        let r = diff_bench(&moved, &base, &DiffConfig::default());
+        assert!(
+            r.breaches.iter().any(|b| b == "wall.crossover_n"),
+            "{:?}",
+            r.breaches
+        );
+        let mut worse = moved.clone();
+        worse.insert("cases.0.recall_at_10".to_string(), 0.5);
+        let r = diff_bench(&worse, &base, &band);
+        assert_eq!(r.breaches, vec!["inv.cases.0.recall_at_10".to_string()]);
     }
 
     #[test]
