@@ -9,10 +9,16 @@
 //! Every entry point that depends on request data — series/column indices,
 //! dataset size — is fallible and returns a typed [`TcslError`] instead of
 //! panicking (DESIGN.md, "Error taxonomy & panic policy").
+//!
+//! A derived session (a shapelet selection or one scale) runs no transform:
+//! a shapelet's feature depends on that shapelet alone, so the sub-bank's
+//! features are the cached columns it keeps, gathered in its layout order,
+//! bit for bit. Derived sessions share the dataset.
 
 use crate::svg;
 use crate::tabular::FeatureTable;
 use crate::tsne::{tsne, TsneConfig};
+use std::sync::Arc;
 use tcsl_core::TimeCsl;
 use tcsl_data::normalize::normalize_series;
 use tcsl_data::Dataset;
@@ -24,7 +30,7 @@ use tcsl_tensor::Tensor;
 #[derive(Debug)]
 pub struct ExploreSession {
     model: TimeCsl,
-    dataset: Dataset,
+    dataset: Arc<Dataset>,
     features: Tensor,
 }
 
@@ -35,7 +41,7 @@ impl ExploreSession {
         let features = model.transform(&dataset)?;
         Ok(ExploreSession {
             model,
-            dataset,
+            dataset: Arc::new(dataset),
             features,
         })
     }
@@ -128,17 +134,23 @@ impl ExploreSession {
         ))
     }
 
+    /// The cached columns `columns`, in that order.
+    fn cached_columns(&self, columns: &[usize]) -> TcslResult<Tensor> {
+        self.check_columns(columns)?;
+        Ok(self.features.select_cols(columns))
+    }
+
     /// Fig. 3d: the tabular feature view over selected columns (all when
     /// `None`).
     pub fn tabular(&self, columns: Option<&[usize]>) -> TcslResult<FeatureTable> {
-        let full = FeatureTable::new(self.model.feature_names(), self.features.clone());
-        match columns {
+        let names = self.model.feature_names();
+        Ok(match columns {
             Some(cols) => {
-                self.check_columns(cols)?;
-                Ok(full.select_columns(cols))
+                let features = self.cached_columns(cols)?;
+                FeatureTable::new(cols.iter().map(|&c| names[c].clone()).collect(), features)
             }
-            None => Ok(full),
-        }
+            None => FeatureTable::new(names, self.features.clone()),
+        })
     }
 
     /// Fig. 3e: t-SNE of the representation restricted to selected columns
@@ -155,11 +167,10 @@ impl ExploreSession {
                 self.dataset.len()
             )));
         }
-        let feats = match columns {
-            Some(cols) => self.tabular(Some(cols))?.matrix().clone(),
-            None => self.features.clone(),
-        };
-        Ok(tsne(&feats, cfg))
+        Ok(match columns {
+            Some(cols) => tsne(&self.cached_columns(cols)?, cfg),
+            None => tsne(&self.features, cfg),
+        })
     }
 
     /// Fig. 3e rendered: t-SNE scatter coloured by labels when present.
@@ -187,17 +198,32 @@ impl ExploreSession {
 
     /// Derives a reduced session using only the selected feature columns —
     /// the "redo Step 3 with the shapelets of interest" loop. The analysis
-    /// can then be re-run on `reduced.features()`.
+    /// can then be re-run on `reduced.features()`, whose columns follow the
+    /// reduced bank's layout: group order, then selection order within a
+    /// group.
     pub fn with_selected(&self, columns: &[usize]) -> TcslResult<ExploreSession> {
         let model = self.model.with_selected_features(columns)?;
-        ExploreSession::new(model, self.dataset.clone())
+        self.derive(model, columns)
     }
 
     /// Derives a reduced session keeping one scale only (§3: "restart Step 3
     /// using the learned shapelets of length L").
     pub fn with_scale(&self, len: usize) -> TcslResult<ExploreSession> {
         let model = self.model.with_scale(len)?;
-        ExploreSession::new(model, self.dataset.clone())
+        self.derive(model, &self.model.bank().scale_column_indices(len))
+    }
+
+    /// The session of `model`, this model's sub-bank of feature `columns`:
+    /// its features are the cached columns at the sub-bank's
+    /// [`subset_source_columns`](tcsl_shapelet::ShapeletBank::subset_source_columns).
+    fn derive(&self, model: TimeCsl, columns: &[usize]) -> TcslResult<ExploreSession> {
+        let sources = self.model.bank().subset_source_columns(columns)?;
+        debug_assert_eq!(sources.len(), model.repr_dim());
+        Ok(ExploreSession {
+            model,
+            dataset: Arc::clone(&self.dataset),
+            features: self.features.select_cols(&sources),
+        })
     }
 }
 
@@ -334,6 +360,74 @@ mod tests {
         }
         let by_scale = s.with_scale(16).unwrap();
         assert_eq!(by_scale.features().cols(), 6);
+    }
+
+    /// Asserts that every derived session of `s` — each scale, and
+    /// selections that are unsorted, cross groups and repeat a column —
+    /// carries exactly the features of transforming the dataset with its
+    /// reduced model.
+    fn assert_reanalysis_is_exact(s: &ExploreSession, what: &str) {
+        let bits = |t: &Tensor| t.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let check = |reduced: ExploreSession, case: String| {
+            let want = reduced.model().transform(s.dataset()).unwrap();
+            assert_eq!(reduced.features().shape(), want.shape(), "{what}: {case}");
+            assert!(
+                bits(reduced.features()) == bits(&want),
+                "{what}: {case} differs from the reduced model's transform"
+            );
+        };
+        for len in s.model().bank().scales() {
+            check(s.with_scale(len).unwrap(), format!("scale {len}"));
+        }
+        let width = s.features().cols();
+        let k = s.model().bank().groups()[0].k();
+        for cols in [
+            vec![width - 1, k + 1, 0, width / 2, 1, k + 1],
+            (0..width).rev().collect(),
+        ] {
+            check(
+                s.with_selected(&cols).unwrap(),
+                format!("selection {cols:?}"),
+            );
+        }
+    }
+
+    #[test]
+    fn reanalysis_gathers_exactly_the_reduced_models_features() {
+        use tcsl_data::normalize::Normalization;
+        use tcsl_data::TimeSeries;
+        use tcsl_tensor::quant::QuantScheme;
+        use tcsl_tensor::rng::seeded;
+
+        // Spans on both sides of the SIMD threshold (64), so the f16 model
+        // runs binary16 taps for one scale and f32 taps for the other.
+        let cfg = ShapeletConfig {
+            lengths: vec![24, 80],
+            k_per_group: 4,
+            measures: Measure::ALL.to_vec(),
+            stride: 1,
+        };
+        let mut rng = seeded(19);
+        let mut full = tcsl_shapelet::ShapeletBank::new(&cfg, 3);
+        full.randomize(&mut rng);
+        let mut half = full.clone();
+        half.quantize(QuantScheme::F16).unwrap();
+        let series = |t: usize, rng: &mut _| TimeSeries::new(Tensor::randn([3, t], rng));
+        let small = Dataset::unlabeled("small", (0..6).map(|_| series(150, &mut rng)).collect());
+        for bank in [&full, &half] {
+            for norm in [Normalization::ZScore, Normalization::MinMax] {
+                let model = TimeCsl::from_bank_normalized(bank.clone(), norm);
+                let s = ExploreSession::new(model, small.clone()).unwrap();
+                assert_reanalysis_is_exact(&s, &format!("{:?} {norm:?}", bank.precision()));
+            }
+        }
+
+        // 3 × 100 000 steps = 1.2 MB: every transform of this series takes
+        // the blocked engine.
+        let long = Dataset::unlabeled("long", vec![series(100_000, &mut rng)]);
+        assert!(long.series(0).values().numel() * 4 > tcsl_shapelet::fused::BLOCKED_SERIES_BYTES);
+        let s = ExploreSession::new(TimeCsl::from_bank(half), long).unwrap();
+        assert_reanalysis_is_exact(&s, "blocked engine");
     }
 
     #[test]

@@ -38,18 +38,12 @@ impl FeatureTable {
     /// Restricts to a subset of columns.
     pub fn select_columns(&self, columns: &[usize]) -> FeatureTable {
         assert!(!columns.is_empty(), "select at least one column");
-        let mut out = Tensor::zeros([self.features.rows(), columns.len()]);
-        for i in 0..self.features.rows() {
-            for (k, &c) in columns.iter().enumerate() {
-                out.set(&[i, k], self.features.at2(i, c));
-            }
-        }
         FeatureTable {
             column_names: columns
                 .iter()
                 .map(|&c| self.column_names[c].clone())
                 .collect(),
-            features: out,
+            features: self.features.select_cols(columns),
         }
     }
 

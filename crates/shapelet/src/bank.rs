@@ -361,42 +361,77 @@ impl ShapeletBank {
 
     /// Builds a sub-bank containing only the shapelets behind the given
     /// feature columns — the demo's "redo the analysis with the selected
-    /// shapelets" interaction (§3, step 4). Group order is preserved; empty
-    /// groups are dropped. On any series, the sub-bank's features are the
-    /// selected columns of this bank's features, bit for bit.
+    /// shapelets" interaction (§3, step 4). Group order is preserved; within
+    /// a group, shapelets keep the selection's order and duplicates; empty
+    /// groups are dropped. On any series, the sub-bank's features are this
+    /// bank's features at [`Self::subset_source_columns`], bit for bit.
     pub fn subset_columns(&self, columns: &[usize]) -> TcslResult<ShapeletBank> {
+        Ok(self.keep_rows(&self.selected_rows(columns)?))
+    }
+
+    /// The source column of every feature of [`Self::subset_columns`]'s
+    /// sub-bank, in the sub-bank's feature order: gathering these columns
+    /// of a feature matrix of this bank gives the sub-bank's features. Fails
+    /// exactly when `subset_columns` does.
+    pub fn subset_source_columns(&self, columns: &[usize]) -> TcslResult<Vec<usize>> {
+        Ok(self.columns_of(&self.selected_rows(columns)?))
+    }
+
+    /// The rows each group keeps for a column selection, in selection
+    /// order: the one layout behind both [`Self::subset_columns`] and
+    /// [`Self::subset_source_columns`].
+    fn selected_rows(&self, columns: &[usize]) -> TcslResult<Vec<Vec<usize>>> {
         if columns.is_empty() {
             return Err(TcslError::empty("feature column selection"));
         }
-        let mut per_group: Vec<Vec<usize>> = vec![Vec::new(); self.groups.len()];
+        let mut rows: Vec<Vec<usize>> = vec![Vec::new(); self.groups.len()];
         for &c in columns {
             let (g, k) = self.feature_to_shapelet(c)?;
-            per_group[g].push(k);
+            rows[g].push(k);
         }
-        let mut groups = Vec::new();
-        for (gi, ks) in per_group.into_iter().enumerate() {
-            if ks.is_empty() {
-                continue;
-            }
-            let src = &self.groups[gi];
-            let width = src.shapelets.cols();
-            let mut data = Vec::with_capacity(ks.len() * width);
-            for &k in &ks {
-                data.extend_from_slice(src.shapelets.row(k));
-            }
-            groups.push(ShapeletGroup {
-                len: src.len,
-                stride: src.stride,
-                measure: src.measure,
-                shapelets: Tensor::from_vec(data, [ks.len(), width]),
-            });
+        Ok(rows)
+    }
+
+    /// The feature columns of per-group kept `rows`, in the order
+    /// [`Self::keep_rows`] lays them out.
+    fn columns_of(&self, rows: &[Vec<usize>]) -> Vec<usize> {
+        let mut columns = Vec::new();
+        let mut base = 0;
+        for (g, ks) in self.groups.iter().zip(rows) {
+            columns.extend(ks.iter().map(|&k| base + k));
+            base += g.k();
         }
-        Ok(ShapeletBank {
+        columns
+    }
+
+    /// The bank of each group's kept `rows`, in that order; groups that keep
+    /// none are dropped. Precision carries over.
+    fn keep_rows(&self, rows: &[Vec<usize>]) -> ShapeletBank {
+        let groups = self
+            .groups
+            .iter()
+            .zip(rows)
+            .filter(|(_, ks)| !ks.is_empty())
+            .map(|(src, ks)| {
+                let width = src.shapelets.cols();
+                let mut data = Vec::with_capacity(ks.len() * width);
+                for &k in ks {
+                    data.extend_from_slice(src.shapelets.row(k));
+                }
+                ShapeletGroup {
+                    len: src.len,
+                    stride: src.stride,
+                    measure: src.measure,
+                    shapelets: Tensor::from_vec(data, [ks.len(), width]),
+                }
+            })
+            .collect();
+        ShapeletBank {
             d: self.d,
             groups,
             precomp: OnceLock::new(),
             precision: self.precision,
-        })
+        }
     }
 
     /// Prunes near-duplicate shapelets: within each group, a shapelet whose
@@ -412,11 +447,8 @@ impl ShapeletBank {
                 "max_cosine must be in [0, 1], got {max_cosine}"
             )));
         }
-        let mut kept_columns = Vec::new();
-        let mut groups = Vec::new();
-        let mut col_base = 0usize;
+        let mut kept = Vec::with_capacity(self.groups.len());
         for src in &self.groups {
-            let width = src.shapelets.cols();
             let mut kept_rows: Vec<usize> = Vec::new();
             for k in 0..src.k() {
                 let row = src.shapelets.row(k);
@@ -431,60 +463,43 @@ impl ShapeletBank {
                 });
                 if !duplicate {
                     kept_rows.push(k);
-                    kept_columns.push(col_base + k);
                 }
             }
-            if !kept_rows.is_empty() {
-                let mut data = Vec::with_capacity(kept_rows.len() * width);
-                for &k in &kept_rows {
-                    data.extend_from_slice(src.shapelets.row(k));
-                }
-                groups.push(ShapeletGroup {
-                    len: src.len,
-                    stride: src.stride,
-                    measure: src.measure,
-                    shapelets: Tensor::from_vec(data, [kept_rows.len(), width]),
-                });
-            }
-            col_base += src.k();
+            kept.push(kept_rows);
         }
-        if groups.is_empty() {
+        let kept_columns = self.columns_of(&kept);
+        if kept_columns.is_empty() {
             return Err(TcslError::config(format!(
                 "pruning at max_cosine={max_cosine} removed every shapelet"
             )));
         }
-        Ok((
-            ShapeletBank {
-                d: self.d,
-                groups,
-                precomp: OnceLock::new(),
-                precision: self.precision,
-            },
-            kept_columns,
-        ))
+        Ok((self.keep_rows(&kept), kept_columns))
     }
 
-    /// Builds a sub-bank with every shapelet of one scale (length).
+    /// The feature columns of every shapelet of one scale (length), in
+    /// feature order; empty when the bank has no shapelet of that length.
+    pub fn scale_column_indices(&self, len: usize) -> Vec<usize> {
+        self.scale_columns()
+            .into_iter()
+            .filter(|(l, _)| *l == len)
+            .flat_map(|(_, range)| range)
+            .collect()
+    }
+
+    /// Builds a sub-bank with every shapelet of one scale (length): the
+    /// [`Self::subset_columns`] of [`Self::scale_column_indices`]. A length
+    /// the bank does not carry is a config error listing the available
+    /// scales.
     pub fn subset_scale(&self, len: usize) -> TcslResult<ShapeletBank> {
-        let groups: Vec<ShapeletGroup> = self
-            .groups
-            .iter()
-            .filter(|g| g.len == len)
-            .cloned()
-            .collect();
-        if groups.is_empty() {
+        let columns = self.scale_column_indices(len);
+        if columns.is_empty() {
             let scales: Vec<String> = self.scales().iter().map(|l| l.to_string()).collect();
             return Err(TcslError::config(format!(
                 "no shapelets of length {len} in the bank; available scales: {}",
                 scales.join(", ")
             )));
         }
-        Ok(ShapeletBank {
-            d: self.d,
-            groups,
-            precomp: OnceLock::new(),
-            precision: self.precision,
-        })
+        self.subset_columns(&columns)
     }
 
     // ------------------------------------------------------- serialization
@@ -705,6 +720,37 @@ mod tests {
     }
 
     #[test]
+    fn subset_source_columns_follow_the_sub_bank_layout() {
+        use tcsl_error::ErrorClass;
+        let mut b = bank();
+        b.randomize(&mut seeded(8));
+        // Unsorted, across groups 4, 0 and 1, with a duplicate: group order
+        // first, then selection order within a group.
+        let cols = [13, 2, 4, 0, 13, 3];
+        let src = b.subset_source_columns(&cols).unwrap();
+        assert_eq!(src, vec![2, 0, 4, 3, 13, 13]);
+        let sub = b.subset_columns(&cols).unwrap();
+        assert_eq!(sub.repr_dim(), src.len());
+        for (j, &c) in src.iter().enumerate() {
+            let (sg, sk) = sub.feature_to_shapelet(j).unwrap();
+            let (g, k) = b.feature_to_shapelet(c).unwrap();
+            let (got, want) = (&sub.groups()[sg], &b.groups()[g]);
+            assert_eq!((got.len, got.measure), (want.len, want.measure));
+            assert_eq!(got.shapelets.row(sk), want.shapelets.row(k), "column {j}");
+        }
+        assert_eq!(
+            b.subset_source_columns(&[]).unwrap_err().class(),
+            ErrorClass::EmptyInput
+        );
+        assert_eq!(
+            b.subset_source_columns(&[1, 18]).unwrap_err().class(),
+            ErrorClass::Config
+        );
+        assert_eq!(b.scale_column_indices(8), (9..18).collect::<Vec<_>>());
+        assert!(b.scale_column_indices(5).is_empty());
+    }
+
+    #[test]
     fn subset_scale_selects_all_measures_of_that_length() {
         let mut b = bank();
         b.randomize(&mut seeded(5));
@@ -712,6 +758,10 @@ mod tests {
         assert_eq!(sub.groups().len(), 3);
         assert!(sub.groups().iter().all(|g| g.len == 8));
         assert_eq!(sub.repr_dim(), 9);
+        for (got, want) in sub.groups().iter().zip(&b.groups()[3..]) {
+            assert_eq!((got.measure, got.stride), (want.measure, want.stride));
+            assert_eq!(got.shapelets, want.shapelets);
+        }
     }
 
     #[test]

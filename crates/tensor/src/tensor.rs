@@ -281,6 +281,22 @@ impl Tensor {
         out
     }
 
+    /// Gathers columns of a rank-2 tensor: column `j` of the result is
+    /// column `columns[j]` of `self`. Columns may repeat and come in any
+    /// order. Panics on an out-of-range column.
+    pub fn select_cols(&self, columns: &[usize]) -> Self {
+        let (rows, cols) = (self.rows(), self.cols());
+        if let Some(&bad) = columns.iter().find(|&&c| c >= cols) {
+            panic!("column {bad} out of range for {}", self.shape);
+        }
+        let mut data = Vec::with_capacity(rows * columns.len());
+        for i in 0..rows {
+            let row = &self.data[i * cols..(i + 1) * cols];
+            data.extend(columns.iter().map(|&c| row[c]));
+        }
+        Tensor::from_vec(data, [rows, columns.len()])
+    }
+
     // ----------------------------------------------------------- elementwise
 
     /// Applies `f` to every element, producing a new tensor.
@@ -565,6 +581,23 @@ mod tests {
         assert_eq!(side.shape().dims(), &[2, 3]);
         assert_eq!(side.row(0), &[1.0, 2.0, 9.0]);
         assert_eq!(side.row(1), &[3.0, 4.0, 8.0]);
+    }
+
+    #[test]
+    fn select_cols_gathers_in_the_given_order() {
+        let x = Tensor::from_vec((0..8).map(|v| v as f32).collect(), [2, 4]);
+        let g = x.select_cols(&[3, 0, 3]);
+        assert_eq!(g.shape().dims(), &[2, 3]);
+        assert_eq!(g.row(0), &[3.0, 0.0, 3.0]);
+        assert_eq!(g.row(1), &[7.0, 4.0, 7.0]);
+        assert_eq!(x.select_cols(&[0, 1, 2, 3]), x);
+        assert_eq!(x.select_cols(&[]).shape().dims(), &[2, 0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "column 4 out of range")]
+    fn select_cols_rejects_a_missing_column() {
+        Tensor::from_vec(vec![0.0; 8], [2, 4]).select_cols(&[1, 4]);
     }
 
     #[test]

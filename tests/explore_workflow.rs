@@ -91,11 +91,22 @@ fn redo_analysis_with_subset_still_classifies() {
 #[test]
 fn feature_subsets_match_full_model_columns() {
     let (session, _, _) = session();
-    let cols = [1usize, 4, 9];
+    // Unsorted and across groups: the reduced bank lays its features out in
+    // group order, then in the selection's order within a group.
+    let cols = [21usize, 4, 13, 1, 9];
+    let bank = session.model().bank();
+    let mut order = cols.to_vec();
+    order.sort_by_key(|&c| bank.feature_to_shapelet(c).unwrap().0);
+    assert_ne!(order, cols, "the selection must leave group order");
     let reduced = session.with_selected(&cols).unwrap();
+    assert_eq!(reduced.features().cols(), cols.len());
     for i in 0..session.dataset().len() {
-        for (k, &c) in cols.iter().enumerate() {
-            assert!((reduced.features().at2(i, k) - session.features().at2(i, c)).abs() < 1e-5);
+        for (k, &c) in order.iter().enumerate() {
+            assert_eq!(
+                reduced.features().at2(i, k).to_bits(),
+                session.features().at2(i, c).to_bits(),
+                "series {i} column {c}"
+            );
         }
     }
 }
