@@ -147,6 +147,16 @@ fn main() {
                 d: 1,
                 cfg: ShapeletConfig::adaptive_long(4096, 256),
             },
+            // A series above 1 MiB (3 × 100 000 f32), which outgrows L2.
+            Case {
+                label: "large_T100000_d3",
+                t: 100_000,
+                d: 3,
+                cfg: ShapeletConfig {
+                    lengths: vec![32, 128],
+                    ..ShapeletConfig::adaptive(100_000)
+                },
+            },
         ]
     };
 

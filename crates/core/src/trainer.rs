@@ -140,9 +140,11 @@ impl BatchPoolings {
         if cfg.diff_path == DiffPath::Oracle {
             return BatchPoolings::Oracle;
         }
-        let pre: Vec<GroupPrecomp> = (0..ps.len()).map(|i| GroupPrecomp::of(ps.get(i))).collect();
+        let pre: Vec<_> = (0..ps.len())
+            .map(|i| GroupPrecomp::of(ps.get(i), bank.d))
+            .collect();
         BatchPoolings::Fused(parallel_map(indices.len(), |i| {
-            let series = Arc::new(ds.series(indices[i]).values().clone());
+            let series = ds.series(indices[i]).values();
             let crops: Vec<(usize, &Tensor)> = pairs
                 .iter()
                 .flat_map(|p| {
@@ -155,7 +157,7 @@ impl BatchPoolings {
             // One cache spans every crop of the series, so identical crops
             // (the full-grain pair) share their window state.
             let mut cache = WindowCache::new();
-            pool_series_crops(bank, &pre, &series, &crops, &mut cache)
+            pool_series_crops(bank, &pre, series, &crops, &mut cache)
         }))
     }
 

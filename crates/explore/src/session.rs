@@ -422,12 +422,10 @@ mod tests {
             }
         }
 
-        // 3 × 100 000 steps = 1.2 MB: every transform of this series takes
-        // the blocked engine.
+        // 3 × 100 000 steps = 1.2 MB, a series that outgrows L2.
         let long = Dataset::unlabeled("long", vec![series(100_000, &mut rng)]);
-        assert!(long.series(0).values().numel() * 4 > tcsl_shapelet::fused::BLOCKED_SERIES_BYTES);
         let s = ExploreSession::new(TimeCsl::from_bank(half), long).unwrap();
-        assert_reanalysis_is_exact(&s, "blocked engine");
+        assert_reanalysis_is_exact(&s, "large series");
     }
 
     #[test]

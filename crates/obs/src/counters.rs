@@ -210,10 +210,9 @@ pub static PAIRDIST_TILES: Counter = Counter::new("pairdist.tiles");
 pub static TRAINER_PAIRS: Counter = Counter::new("trainer.pairs");
 /// Labeled examples pushed through fine-tuning.
 pub static FINETUNE_EXAMPLES: Counter = Counter::new("finetune.examples");
-/// Shapelet groups pooled by the fully fused streaming engine.
+/// Shapelet groups pooled by the fused streaming engine (one per group per
+/// series or crop).
 pub static SHAPELET_POOL_FUSED: Counter = Counter::new("shapelet.pool.fused");
-/// Shapelet groups pooled by the blocked (tiled scratch) fallback engine.
-pub static SHAPELET_POOL_BLOCKED: Counter = Counter::new("shapelet.pool.blocked");
 /// Inverted-file cells scanned by IVF index queries (one per probed
 /// non-empty cell per query row).
 pub static IVF_CELLS_PROBED: Counter = Counter::new("ivf.cells_probed");
@@ -292,7 +291,6 @@ static WELL_KNOWN: &[&Counter] = &[
     &TRAINER_PAIRS,
     &FINETUNE_EXAMPLES,
     &SHAPELET_POOL_FUSED,
-    &SHAPELET_POOL_BLOCKED,
     &IVF_CELLS_PROBED,
     &IVF_CANDIDATES,
     &ERROR_CONFIG,

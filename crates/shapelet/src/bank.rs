@@ -54,11 +54,15 @@ pub(crate) enum GroupTaps {
     F16(TapRows<u16>),
 }
 
-/// The shapelet rows repacked with a padded row stride. The `(K, D·len)`
-/// matrix stores rows back-to-back, which puts the four tap streams of the
-/// blocked dot kernel at cache-hostile relative offsets; spacing rows out to
-/// a padded stride measurably improves streaming bandwidth (~1.5× on long
-/// scales). `f32` rows are bit-identical copies of the matrix rows.
+/// The shapelet rows repacked time-major with a padded row stride. Row `k`
+/// holds tap `i` of variable `v` at `i·D + v`, the layout of a window read
+/// in place from a time-major series
+/// ([`tcsl_tensor::window::time_major`]), so one dot of length `D·len`
+/// scores a window. The `(K, D·len)` matrix stores rows back-to-back, which
+/// puts the four tap streams of a 4-row kernel block at cache-hostile
+/// relative offsets; spacing rows out to a padded stride measurably improves
+/// streaming bandwidth (~1.5× on long scales). At `D = 1` an `f32` row is a
+/// bit-identical copy of its matrix row.
 #[derive(Clone, Debug)]
 pub(crate) struct TapRows<T> {
     data: Vec<T>,
@@ -69,8 +73,10 @@ pub(crate) struct TapRows<T> {
 }
 
 impl<T: TapElem> TapRows<T> {
-    fn pack(shapelets: &Tensor) -> TapRows<T> {
+    /// Repacks the channel-major `(K, D·len)` rows of a `d`-variable group.
+    fn pack(shapelets: &Tensor, d: usize) -> TapRows<T> {
         let row_len = shapelets.cols();
+        let len = row_len / d;
         // Long rows get a page-multiple stride (best for the L2 streamer);
         // short rows just round up to a cache line to bound the waste.
         let stride = if row_len >= 1024 {
@@ -80,8 +86,9 @@ impl<T: TapElem> TapRows<T> {
         };
         let mut data = vec![T::default(); shapelets.rows() * stride];
         for (k, dst) in data.chunks_exact_mut(stride).enumerate() {
-            for (d, &x) in dst.iter_mut().zip(shapelets.row(k)) {
-                *d = T::from_f32(x);
+            let src = shapelets.row(k);
+            for (j, x) in dst[..row_len].iter_mut().enumerate() {
+                *x = T::from_f32(src[(j % d) * len + j / d]);
             }
         }
         TapRows {
@@ -91,24 +98,24 @@ impl<T: TapElem> TapRows<T> {
         }
     }
 
-    /// Tap row `k` (length `D·len`).
+    /// Tap row `k` (length `D·len`, time-major).
     pub(crate) fn row(&self, k: usize) -> &[T] {
         &self.data[k * self.stride..k * self.stride + self.row_len]
     }
 }
 
 impl GroupPrecomp {
-    /// Computes the precomputation for one group's `(K, D·len)` matrix, with
-    /// full-precision taps.
-    pub fn of(shapelets: &Tensor) -> GroupPrecomp {
-        Self::with_taps(shapelets, GroupTaps::F32(TapRows::pack(shapelets)))
+    /// Computes the precomputation for one group's `(K, D·len)` matrix of
+    /// `d`-variable shapelets, with full-precision taps.
+    pub fn of(shapelets: &Tensor, d: usize) -> GroupPrecomp {
+        Self::with_taps(shapelets, GroupTaps::F32(TapRows::pack(shapelets, d)))
     }
 
     /// [`Self::of`] with binary16 taps. The values must already be
     /// f16-representable (a quantized bank's dequantized view), so the taps
     /// hold exactly the values the norms are computed from.
-    pub(crate) fn of_f16(shapelets: &Tensor) -> GroupPrecomp {
-        Self::with_taps(shapelets, GroupTaps::F16(TapRows::pack(shapelets)))
+    pub(crate) fn of_f16(shapelets: &Tensor, d: usize) -> GroupPrecomp {
+        Self::with_taps(shapelets, GroupTaps::F16(TapRows::pack(shapelets, d)))
     }
 
     fn with_taps(shapelets: &Tensor, taps: GroupTaps) -> GroupPrecomp {
@@ -227,21 +234,23 @@ impl ShapeletBank {
     /// and shared by every series transformed against it.
     ///
     /// This is where each group's tap width is decided, and only here: an
-    /// f16 bank streams binary16 taps for groups whose per-variable span is
-    /// at least [`SIMD_MIN_LEN`] — the span from which the kernels run a SIMD
-    /// tier — and f32 taps of its dequantized rows below it, where
-    /// half-width storage saves no traffic and only the software-conversion
-    /// scalar tier would run. Both give the values of the f32 engine on the
-    /// dequantized bank; below the threshold bit for bit.
+    /// f16 bank streams binary16 taps for groups whose per-variable span
+    /// `len` is at least [`SIMD_MIN_LEN`], and f32 taps of its dequantized
+    /// rows below it. The rule reads the span, not the `D·len` length the
+    /// kernels dispatch on: below 64 steps a group's taps stay cache
+    /// resident, half-width storage saves no traffic, and binary16 taps
+    /// measured 0.38–0.90× of f32 on spans 32–63 at `D = 3`. Both widths
+    /// give the values of the f32 engine on the dequantized bank; below the
+    /// threshold bit for bit.
     pub fn precomputed(&self) -> &[GroupPrecomp] {
         self.precomp.get_or_init(|| {
             self.groups
                 .iter()
                 .map(|g| {
                     if self.precision == BankPrecision::F16 && g.len >= SIMD_MIN_LEN {
-                        GroupPrecomp::of_f16(&g.shapelets)
+                        GroupPrecomp::of_f16(&g.shapelets, self.d)
                     } else {
-                        GroupPrecomp::of(&g.shapelets)
+                        GroupPrecomp::of(&g.shapelets, self.d)
                     }
                 })
                 .collect()

@@ -17,8 +17,9 @@
 //! * **backward** — routes the adjoint of each pooled feature to its best
 //!   window only (the min/max-pooling subgradient) and applies the
 //!   per-measure analytic rule against that one window, read straight out
-//!   of the shared series buffer — peak memory is one `D·len` scratch row,
-//!   never `N_w × D·len`.
+//!   of the shared time-major series buffer and written channel-major, the
+//!   parameters' layout, into one `D·len` scratch row — never
+//!   `N_w × D·len`.
 //!
 //! The numerics match the oracle graph exactly, epsilon for epsilon:
 //! Euclidean applies the oracle's `sqrt(· + 1e-8)` softening on top of the
@@ -51,12 +52,14 @@ pub const EUCLIDEAN_SQRT_EPS: f32 = 1e-8;
 /// Built from a finished pooling of the input's values, so one op backs one
 /// graph node whose input holds those values. It keeps each shapelet's
 /// pooled feature, best window and that window's inverse norm, and the
-/// buffer the windows are read from: the crop's series, shared by every op
-/// of that series, with the offset where the crop starts in it.
+/// buffer the windows are read from: the crop's series, time-major and
+/// shared by every op of that series, with the offset where the crop starts
+/// in it.
 pub struct ShapeletDistanceOp {
     measure: Measure,
     len: usize,
     stride: usize,
+    /// The series the crop lies in, time-major `(T, D)`.
     buffer: Arc<Tensor>,
     offset: usize,
     /// The crop's length; its windows read zeros past it, as a crop
@@ -75,10 +78,10 @@ struct Best {
 
 impl ShapeletDistanceOp {
     /// Builds the op from the finished pooling `(pooled, args)` of window
-    /// state `sw`, whose crop's `sw.cols` samples start at `offset` of
-    /// `buffer`. Euclidean applies the oracle path's `sqrt_eps` softening
-    /// to the pooled values (the argmin is unaffected — see the module
-    /// docs).
+    /// state `sw`, whose crop's `sw.cols` steps start at step `offset` of
+    /// the time-major `buffer`. Euclidean applies the oracle path's
+    /// `sqrt_eps` softening to the pooled values (the argmin is unaffected —
+    /// see the module docs).
     pub fn new(
         measure: Measure,
         sw: &ScaleWindows,
@@ -86,7 +89,7 @@ impl ShapeletDistanceOp {
         offset: usize,
         (values, args): (Vec<f32>, Vec<usize>),
     ) -> Self {
-        debug_assert!(buffer.rows() == sw.padded.rows() && offset + sw.cols <= buffer.cols());
+        debug_assert!(buffer.cols() == sw.d() && offset + sw.cols <= buffer.rows());
         let best = values
             .into_iter()
             .zip(args)
@@ -114,17 +117,22 @@ impl ShapeletDistanceOp {
     /// on `sw`'s own buffer.
     pub fn pool(measure: Measure, sw: &ScaleWindows, pre: &GroupPrecomp) -> Self {
         let pooled = pool_measure(sw, measure, pre);
-        Self::new(measure, sw, Arc::clone(&sw.padded), 0, pooled)
+        Self::new(measure, sw, Arc::clone(&sw.series), sw.start, pooled)
     }
 
-    /// Writes window `w` of the crop channel-major into `dst`: the crop's
-    /// samples, then zeros past its end.
+    /// Writes window `w` of the crop channel-major (the parameters' layout)
+    /// into `dst`: each variable's steps of the crop, then zeros past its
+    /// end.
     fn window_into(&self, w: usize, dst: &mut [f32]) {
+        let d = self.buffer.cols();
         let start = w * self.stride;
         let real = self.len.min(self.cols - start);
-        let from = self.offset + start;
+        let from = (self.offset + start) * d;
+        let steps = &self.buffer.as_slice()[from..from + real * d];
         for (v, row) in dst.chunks_exact_mut(self.len).enumerate() {
-            row[..real].copy_from_slice(&self.buffer.row(v)[from..from + real]);
+            for (x, step) in row.iter_mut().zip(steps.chunks_exact(d)) {
+                *x = step[v];
+            }
             row[real..].fill(0.0);
         }
     }
@@ -146,7 +154,7 @@ impl CustomOp for ShapeletDistanceOp {
         let shapelets = inputs[0];
         assert_eq!(
             shapelets.cols(),
-            self.buffer.rows() * self.len,
+            self.buffer.cols() * self.len,
             "shapelet width must be D·len"
         );
         assert_eq!(
@@ -230,7 +238,7 @@ mod tests {
 
     /// The op for `shapelets` pooled over `sw`.
     fn op(measure: Measure, sw: &ScaleWindows, shapelets: &Tensor) -> Arc<ShapeletDistanceOp> {
-        let pre = GroupPrecomp::of(shapelets);
+        let pre = GroupPrecomp::of(shapelets, sw.d());
         Arc::new(ShapeletDistanceOp::pool(measure, sw, &pre))
     }
 

@@ -12,12 +12,12 @@
 //!   series against the values bound in the graph, sharing window state
 //!   through a [`WindowCache`];
 //! * **per series, for many crops** — [`pool_series_crops`] pools every
-//!   crop of one series with one scan of the series' windows per group
-//!   ([`pool_crops`]), against a precomputation of the parameter values
-//!   the ops will be bound to; [`diff_features_pooled`] then inserts one
-//!   crop's ops as a feature row. The trainer runs the first per series on
-//!   the worker pool and the second per view pair. Both ways give the same
-//!   bits.
+//!   crop of one series with one scan of the series' time-major buffer per
+//!   group ([`pool_crops`](crate::fused::pool_crops)), against a
+//!   precomputation of the parameter values the ops will be bound to;
+//!   [`diff_features_pooled`] then inserts one crop's ops as a feature row.
+//!   The trainer runs the first per series on the worker pool and the
+//!   second per view pair. Both ways give the same bits.
 //!
 //! The original eager-graph formulation — windows materialized into a
 //! constant leaf, distances assembled from `matmul`/`relu`/`min_axis` ops —
@@ -34,8 +34,9 @@ use std::sync::Arc;
 
 use crate::bank::{GroupPrecomp, ShapeletBank};
 use crate::diff_op::ShapeletDistanceOp;
-use crate::fused::{pool_crops, ScaleWindows};
+use crate::fused::{pool_crops_in, ScaleWindows};
 use tcsl_autodiff::{Graph, VarId};
+use tcsl_tensor::window::time_major;
 use tcsl_tensor::Tensor;
 
 /// Which implementation of the differentiable transform to run.
@@ -97,16 +98,15 @@ pub fn bind_frozen(g: &mut Graph, bank: &ShapeletBank) -> BoundBank {
 
 /// Cache of series-side window state, shared across poolings.
 ///
-/// One [`ScaleWindows`] is an `O(D·T)` pass (padding + prefix-sum norms);
-/// every (scale, measure) group of the bank needs one, and the *same*
-/// series value recurs: the groups of one scale share it, and in
-/// contrastive training full-grain crops of a series are bit-identical.
-/// The caller picks the scope — a batch of views, or every crop of one
-/// series at every grain, as the trainer does. Entries are keyed by
-/// `(len, stride)` plus value equality of the series, so a hit requires
-/// the cached padded buffer to start with exactly the series' values (the
-/// [`ScaleWindows`] is a pure function of those three, so equal keys mean
-/// an equal result).
+/// One [`ScaleWindows`] is an `O(D·T)` pass (time-major padded copy +
+/// prefix-sum norms); every (scale, measure) group of the bank needs one,
+/// and the *same* series value recurs: the groups of one scale share it,
+/// and in contrastive training full-grain crops of a series are
+/// bit-identical. The caller picks the scope, for example a batch of
+/// views. Entries are keyed by `(len, stride)` plus value equality of the
+/// series, so a hit requires the cached buffer to start with exactly the
+/// series' values (the [`ScaleWindows`] is a pure function of those three,
+/// so equal keys mean an equal result).
 ///
 /// The cache hands out `Arc`s; a [`ShapeletDistanceOp`] keeps only the
 /// window buffer alive, never the norms.
@@ -126,18 +126,25 @@ impl WindowCache {
     /// Returns the window state for `(series, len, stride)`, computing and
     /// retaining it on first use.
     pub fn get(&mut self, series: &Tensor, len: usize, stride: usize) -> Arc<ScaleWindows> {
-        if let Some(sw) = self
-            .entries
-            .iter()
-            .find(|sw| holds(sw, series, len, stride))
-        {
+        self.lookup(
+            |sw| holds(sw, series, len, stride),
+            || ScaleWindows::new(series, len, stride),
+        )
+    }
+
+    fn lookup(
+        &mut self,
+        hit: impl Fn(&ScaleWindows) -> bool,
+        make: impl FnOnce() -> ScaleWindows,
+    ) -> Arc<ScaleWindows> {
+        if let Some(sw) = self.entries.iter().find(|sw| hit(sw)) {
             self.hits += 1;
             tcsl_obs::counters::WINDOW_CACHE_HIT.add(1);
             return Arc::clone(sw);
         }
         self.misses += 1;
         tcsl_obs::counters::WINDOW_CACHE_MISS.add(1);
-        let sw = Arc::new(ScaleWindows::new(series, len, stride));
+        let sw = Arc::new(make());
         self.entries.push(Arc::clone(&sw));
         sw
     }
@@ -155,12 +162,14 @@ impl WindowCache {
 
 /// Whether `sw` is the window state of `series` at `(len, stride)`.
 fn holds(sw: &ScaleWindows, series: &Tensor, len: usize, stride: usize) -> bool {
-    // `padded` zero-extends the series at the tail, so prefix equality
-    // over `cols` columns is value equality of the series itself.
+    // The buffer zero-extends the series at the tail, so equality over its
+    // first `cols` steps is value equality of the series itself.
+    let d = series.rows();
+    let steps = || sw.series.as_slice()[sw.start * d..(sw.start + sw.cols) * d].chunks_exact(d);
     sw.matches(len, stride)
         && sw.cols == series.cols()
-        && sw.padded.rows() == series.rows()
-        && (0..series.rows()).all(|v| sw.padded.row(v)[..sw.cols] == *series.row(v))
+        && sw.d() == d
+        && (0..d).all(|v| steps().map(|s| s[v]).eq(series.row(v).iter().copied()))
 }
 
 /// Builds the feature row `(1, D_repr)` of one series against the bound
@@ -178,7 +187,7 @@ pub fn diff_features_cached(
     let mut parts: Vec<VarId> = Vec::with_capacity(bank.groups().len());
     for (gi, grp) in bank.groups().iter().enumerate() {
         let sw = cache.get(series, grp.len, grp.stride);
-        let pre = GroupPrecomp::of(g.value(bound.group_vars[gi]));
+        let pre = GroupPrecomp::of(g.value(bound.group_vars[gi]), bank.d);
         let op = Arc::new(ShapeletDistanceOp::pool(grp.measure, &sw, &pre));
         let pooled = g.custom(op, &[bound.group_vars[gi]]);
         parts.push(pooled);
@@ -242,39 +251,57 @@ pub fn diff_features_batch_via(
     }
 }
 
-/// Every group's finished pooling of every crop of one series, as ops
-/// ready to insert: `out[c][gi]` is crop `c`'s op for group `gi`.
+/// Every group's finished pooling of every crop of one `(D, T)` series,
+/// as ops ready to insert: `out[c][gi]` is crop `c`'s op for group `gi`.
 /// `crops[c]` is where crop `c` starts in `series` and its values; `pre`
 /// is the precomputation of the parameter values the ops will be bound to
-/// (one per group, in bank order). Each group scores the series' windows
-/// once for all its crops ([`pool_crops`]), with each crop's window state
-/// from `cache`. An op reads its best windows back from `series` itself,
-/// so no window state outlives this call.
+/// (one per group, in bank order). The series is copied once, time-major;
+/// each group scores its windows once for all its crops
+/// ([`pool_crops`](crate::fused::pool_crops)), and every op reads its best
+/// windows back from that copy. A crop at least one window long takes its
+/// window norms from its own slice of the copy ([`ScaleWindows::view`]); a
+/// shorter one, zero-padded, gets window state of its own. Both come from
+/// `cache`, so equal crops share their state, and no window state outlives
+/// the cache.
 pub fn pool_series_crops(
     bank: &ShapeletBank,
     pre: &[GroupPrecomp],
-    series: &Arc<Tensor>,
+    series: &Tensor,
     crops: &[(usize, &Tensor)],
     cache: &mut WindowCache,
 ) -> Vec<Vec<Arc<ShapeletDistanceOp>>> {
     assert_eq!(series.rows(), bank.d, "series/bank variable count mismatch");
+    let buffer = Arc::new(time_major(series, 0));
     let mut out: Vec<Vec<Arc<ShapeletDistanceOp>>> = crops
         .iter()
         .map(|_| Vec::with_capacity(bank.groups().len()))
         .collect();
     for (grp, pre) in bank.groups().iter().zip(pre) {
+        let (len, stride) = (grp.len, grp.stride);
+        // A crop view is keyed by the buffer's identity and its place in
+        // it, so no values are compared.
         let sws: Vec<Arc<ScaleWindows>> = crops
             .iter()
-            .map(|&(_, crop)| cache.get(crop, grp.len, grp.stride))
+            .map(|&(start, values)| match values.cols() {
+                cols if cols >= len => cache.lookup(
+                    |sw| {
+                        Arc::ptr_eq(&sw.series, &buffer)
+                            && (sw.start, sw.cols) == (start, cols)
+                            && sw.matches(len, stride)
+                    },
+                    || ScaleWindows::view(Arc::clone(&buffer), start, cols, len, stride),
+                ),
+                _ => cache.get(values, len, stride),
+            })
             .collect();
         let views: Vec<(usize, &ScaleWindows)> = crops
             .iter()
             .zip(&sws)
             .map(|(&(start, _), sw)| (start, &**sw))
             .collect();
-        let pooled = pool_crops(series, &views, grp.measure, pre);
+        let pooled = pool_crops_in(&buffer, &views, grp.measure, pre);
         for ((ops, p), (start, sw)) in out.iter_mut().zip(pooled).zip(views) {
-            let op = ShapeletDistanceOp::new(grp.measure, sw, Arc::clone(series), start, p);
+            let op = ShapeletDistanceOp::new(grp.measure, sw, Arc::clone(&buffer), start, p);
             ops.push(Arc::new(op));
         }
     }
@@ -333,7 +360,7 @@ pub mod oracle {
     use crate::transform::pad_to_len;
     use tcsl_autodiff::{Graph, VarId};
     use tcsl_tensor::reduce::Axis;
-    use tcsl_tensor::window::{unfold, window_sq_norms};
+    use tcsl_tensor::window::{time_major, unfold, window_sq_norms};
     use tcsl_tensor::Tensor;
 
     /// Oracle counterpart of [`super::diff_features`].
@@ -354,9 +381,9 @@ pub mod oracle {
                     // Same prefix-sum window-norm machinery as the fused
                     // inference kernel — one O(T) pass instead of a pass over
                     // the materialized rows.
-                    let padded = pad_to_len(series, grp.len);
-                    let norms = window_sq_norms(&padded, grp.len, grp.stride);
-                    let id = g.leaf(unfold(&padded, grp.len, grp.stride));
+                    let tm = time_major(series, grp.len);
+                    let norms = window_sq_norms(tm.as_slice(), bank.d, grp.len, grp.stride);
+                    let id = g.leaf(unfold(&pad_to_len(series, grp.len), grp.len, grp.stride));
                     cached = Some((grp.len, id, norms.clone()));
                     (id, norms)
                 }

@@ -5,52 +5,51 @@
 //! memory blowup — then re-derives shapelet norms per series. This module
 //! replaces it on the hot path:
 //!
-//! * **Zero-materialization windows** — per-shapelet dot products read the
-//!   overlapping windows directly out of the original contiguous series
-//!   buffer ([`tcsl_tensor::window::window_dots`]).
-//! * **Prefix-sum window norms** — one O(T) pass per scale
-//!   ([`tcsl_tensor::window::window_sq_norms`]) yields `‖w‖²` in O(1) per
-//!   window, shared by all shapelets and measures of the scale
-//!   ([`ScaleWindows`]).
+//! * **One dot per window, read in place** — the series is stored
+//!   time-major (`x[t·D + v]`, [`tcsl_tensor::window::time_major`]) and
+//!   each group's taps the same way, so the window at step `s` is the
+//!   contiguous slice `[s·D, (s + len)·D)` of the series buffer, and one
+//!   [`dots`] call of length `D·len` scores it against a tap row. No window
+//!   is copied.
+//! * **Prefix-sum window norms** — one O(D·T) pass per scale over the
+//!   interleaved buffer ([`tcsl_tensor::window::window_sq_norms`]) yields
+//!   `‖w‖²` in O(1) per window, shared by all shapelets and measures of the
+//!   scale ([`ScaleWindows`]).
 //! * **Bank-side precomputation** — shapelet row norms and repacked tap
 //!   rows come from
 //!   [`ShapeletBank::precomputed`](crate::ShapeletBank::precomputed), once
 //!   per bank instead of once per series.
-//! * **One block loop for every tap width and engine** — the loops are
-//!   generic over [`TapElem`], so an f16 bank's binary16 groups run the
-//!   same blocking, tiling and argmin tie-breaking as f32 groups; only the
-//!   dot kernel's tap load differs.
-//! * **Blocked engine for large series** — when the series is too large to
-//!   stay cache resident across the per-block passes, each window is copied
-//!   once into a reused scratch row and scored against every shapelet block
-//!   while it sits in L1.
+//! * **One block loop for every tap width** — the loop is generic over
+//!   [`TapElem`], so an f16 bank's binary16 groups run the same blocking
+//!   and argmin tie-breaking as f32 groups; only the dot kernel's tap load
+//!   differs.
 //! * **One pass for many crops** — [`pool_crops`] pools several crops of
 //!   one series (training's views) from one scan of the series' windows:
 //!   each window is scored once per tap block and handed to every crop
 //!   that contains it, which scores it against its own norms.
 //!
-//! A kernel entry never depends on which rows share its block
-//! ([`tcsl_tensor::dot`]), and the engine depends on the series alone
-//! (blocked above [`BLOCKED_SERIES_BYTES`]). So a shapelet's feature, its
-//! localization scores and its column in any subset of the bank are the
-//! same bits.
+//! There is one engine. Every window is one dot summed in one order,
+//! whatever the size of the series, and a kernel entry never depends on
+//! which rows share its block ([`tcsl_tensor::dot`]). So a shapelet's
+//! feature, its localization scores and its column in any subset of the
+//! bank are the same bits.
 //!
 //! Peak per-series allocation is O(D·T + N_w + K) — no term proportional
-//! to `N_w × D·len`. All engines funnel scoring through
-//! [`Measure::finish`], and agree with the unfold oracle to f32 round-off
-//! (property-tested in `crate::proptests`).
+//! to `N_w × D·len`. Pooling and localization funnel scoring through
+//! [`Measure::finish`]'s arithmetic, and agree with the unfold oracle to
+//! f32 round-off (property-tested in `crate::proptests`).
 
 use crate::bank::{GroupPrecomp, GroupTaps, ShapeletGroup, TapRows};
 use crate::measure::Measure;
-use crate::transform::pad_to_len;
 use std::ops::Range;
 use std::sync::Arc;
-use tcsl_tensor::dot::{TapElem, Tier};
-use tcsl_tensor::window::{count_windows, window_dots, window_row_into, window_sq_norms};
+use tcsl_tensor::dot::{dots, TapElem, Tier};
+use tcsl_tensor::window::{time_major, window_sq_norms};
 use tcsl_tensor::Tensor;
 
-/// Series-side state for one (scale, stride): the padded series plus the
-/// prefix-sum-derived per-window norms every measure of the scale shares.
+/// Series-side state for one (scale, stride): the time-major series
+/// buffer plus the prefix-sum-derived per-window norms every measure of the
+/// scale shares.
 pub struct ScaleWindows {
     /// Window length (= shapelet length of the scale).
     pub len: usize,
@@ -58,37 +57,63 @@ pub struct ScaleWindows {
     pub stride: usize,
     /// Number of windows.
     pub n: usize,
-    /// Column count `T` of the series before padding.
+    /// Step count `T` of the series (or crop) before padding.
     pub cols: usize,
-    /// The `(D, max(T, len))` series buffer windows are read from (equal to
-    /// the raw series whenever it is at least `len` long). Shared, so a
-    /// training op can read its best windows back without a copy.
-    pub padded: Arc<Tensor>,
-    /// `‖w‖²` per window, from the O(T) prefix-sum pass.
+    /// The time-major `(steps, D)` buffer windows are read from, step `t`
+    /// of variable `v` at `t·D + v`: this state's own copy of the series,
+    /// zero-padded to at least `len` steps, or the whole series a crop view
+    /// lies in ([`Self::view`]). Shared, so a training op can read its best
+    /// windows back without a copy.
+    pub series: Arc<Tensor>,
+    /// Step of `series` at which window 0 starts (0 unless a crop view).
+    pub start: usize,
+    /// `‖w‖²` per window, from the O(D·T) prefix-sum pass.
     pub sq_norms: Vec<f32>,
     /// `1 / √(‖w‖² + 1e-12)` per window (cosine's window-side factor).
     pub inv_norms: Vec<f32>,
 }
 
 impl ScaleWindows {
-    /// Builds the per-scale state for a `(D, T)` series: zero-pads short
-    /// series (so every scale yields at least one window, matching
-    /// [`crate::transform::windows_for`]) and runs the prefix-sum norm
-    /// pass.
+    /// Builds the per-scale state for a `(D, T)` series: a time-major copy,
+    /// zero-padded so every scale yields at least one window (matching
+    /// [`crate::transform::windows_for`]), and the prefix-sum norm pass.
     pub fn new(values: &Tensor, len: usize, stride: usize) -> ScaleWindows {
-        let padded = Arc::new(pad_to_len(values, len));
-        let n = count_windows(padded.cols(), len, stride);
-        let sq_norms = window_sq_norms(&padded, len, stride);
+        let series = Arc::new(time_major(values, len));
+        ScaleWindows::view(series, 0, values.cols(), len, stride)
+    }
+
+    /// The state of the `cols` steps from step `start` of a time-major
+    /// `series` ([`time_major`]), read in place. For a crop at least `len`
+    /// steps long these are the norms of [`Self::new`] on the crop's values,
+    /// bit for bit and without a copy, as they sum the same values in the
+    /// same order. A shorter crop's windows run past it, so it needs a
+    /// zero-padded copy of its own.
+    pub fn view(
+        series: Arc<Tensor>,
+        start: usize,
+        cols: usize,
+        len: usize,
+        stride: usize,
+    ) -> ScaleWindows {
+        let d = series.cols();
+        let steps = &series.as_slice()[start * d..(start + cols.max(len)) * d];
+        let sq_norms = window_sq_norms(steps, d, len, stride);
         let inv_norms = sq_norms.iter().map(|&w| 1.0 / (w + 1e-12).sqrt()).collect();
         ScaleWindows {
             len,
             stride,
-            n,
-            cols: values.cols(),
-            padded,
+            n: sq_norms.len(),
+            cols,
+            series,
+            start,
             sq_norms,
             inv_norms,
         }
+    }
+
+    /// Number of variables `D`.
+    pub fn d(&self) -> usize {
+        self.series.cols()
     }
 
     /// Whether this state serves groups of the given scale/stride.
@@ -97,13 +122,7 @@ impl ScaleWindows {
     }
 }
 
-/// Series bytes above which the blocked engine takes over: beyond ~1 MiB
-/// the per-shapelet-block streaming passes fall out of L2, and copying
-/// each window once (one pass over the series, K dots per copied window)
-/// wins.
-pub const BLOCKED_SERIES_BYTES: usize = 1 << 20;
-
-/// Row length (in elements) above which the fused engine streams taps in
+/// Row length (in elements) above which the engine streams taps in
 /// 2-row × 4-window instead of 4-row × 1-window blocks. A 4-row half-width
 /// block of a longer row (> 4 · 3072 · 2 B = 24 KiB) no longer fits in a
 /// 32 KiB L1d alongside the window stream, so every window pass would spill
@@ -112,34 +131,6 @@ pub const BLOCKED_SERIES_BYTES: usize = 1 << 20;
 /// tier only ([`TapElem::tier`]), where the pair block keeps its sixteen
 /// accumulator chains in registers.
 pub const PAIR_BLOCK_MIN_ROW: usize = 3072;
-
-/// The two pooling engines. Both run every (row, window) dot through the
-/// same block loop and kernel family. They associate a window's sum
-/// differently (per-variable dots added in variable order, against one dot
-/// over the copied `D·len` row), so they agree to rounding only, and which
-/// one runs must not depend on anything but the series.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum Engine {
-    /// Shapelet-block-major streaming passes over the series in place.
-    Fused,
-    /// Window by window: each copied into one scratch row, then scanned by
-    /// every shapelet block.
-    Blocked,
-}
-
-impl Engine {
-    /// The engine a series takes: blocked above [`BLOCKED_SERIES_BYTES`],
-    /// else fused. A function of the series alone, shared by pooling and
-    /// localization, so a group, each of its subsets and each localization
-    /// of one of its shapelets all take the same engine.
-    pub(crate) fn of(sw: &ScaleWindows) -> Engine {
-        if sw.padded.numel() * core::mem::size_of::<f32>() > BLOCKED_SERIES_BYTES {
-            Engine::Blocked
-        } else {
-            Engine::Fused
-        }
-    }
-}
 
 /// Pools one group over a series: the per-shapelet best score plus the
 /// best window index, computed without materializing the window matrix.
@@ -163,47 +154,53 @@ pub fn pool_measure(
     measure: Measure,
     pre: &GroupPrecomp,
 ) -> (Vec<f32>, Vec<usize>) {
-    let engine = Engine::of(sw);
-    match engine {
-        Engine::Fused => tcsl_obs::counters::SHAPELET_POOL_FUSED.add(1),
-        Engine::Blocked => tcsl_obs::counters::SHAPELET_POOL_BLOCKED.add(1),
-    }
-    pool_on(sw, measure, pre, engine)
-}
-
-/// [`pool_measure`] on a given engine.
-pub(crate) fn pool_on(
-    sw: &ScaleWindows,
-    measure: Measure,
-    pre: &GroupPrecomp,
-    engine: Engine,
-) -> (Vec<f32>, Vec<usize>) {
+    tcsl_obs::counters::SHAPELET_POOL_FUSED.add(1);
     let k = pre.k();
-    let width = (sw.padded.rows() * sw.len) as f32;
+    let width = (sw.d() * sw.len) as f32;
     let mut pooled = vec![f32::NAN; k];
     let mut args = vec![0usize; k];
-    scan(&Windows::of(sw), pre, engine, 0..k, |kk, w, cross| {
-        let s = score(
-            measure,
-            cross,
-            sw,
-            w,
-            pre.sq_norms[kk],
-            pre.inv_norms[kk],
-            width,
-        );
-        if w == 0 || measure.better(s, pooled[kk]) {
-            pooled[kk] = s;
-            args[kk] = w;
-        }
-    });
+    scan(
+        &Windows::of(sw),
+        pre,
+        0..k,
+        #[inline(always)]
+        |kk, w, cross| {
+            let s = score(
+                measure,
+                cross,
+                sw,
+                w,
+                pre.sq_norms[kk],
+                pre.inv_norms[kk],
+                width,
+            );
+            if w == 0 || measure.better(s, pooled[kk]) {
+                pooled[kk] = s;
+                args[kk] = w;
+            }
+        },
+    );
     (pooled, args)
 }
 
-/// Pools one group over several crops of `series`: `crops[c]` is where crop
-/// `c` starts in the series and the crop's own window state
-/// ([`ScaleWindows::new`] of its values), all at the group's scale and
-/// stride. Returns each crop's [`pool_measure`] result, bit for bit.
+/// Pools one group over several crops of a `(D, T)` `series`: `crops[c]`
+/// is where crop `c` starts in the series and the crop's window state, all
+/// at the group's scale and stride. Returns each crop's [`pool_measure`]
+/// result, bit for bit. Makes one time-major copy of the series; a caller
+/// that already holds one (the trainer's [`pool_series_crops`]) scans it
+/// in place.
+///
+/// [`pool_series_crops`]: crate::diff_transform::pool_series_crops
+pub fn pool_crops(
+    series: &Tensor,
+    crops: &[(usize, &ScaleWindows)],
+    measure: Measure,
+    pre: &GroupPrecomp,
+) -> Vec<(Vec<f32>, Vec<usize>)> {
+    pool_crops_in(&time_major(series, 0), crops, measure, pre)
+}
+
+/// [`pool_crops`] over the time-major `(T, D)` buffer of the series.
 ///
 /// Every contiguous run of the union of the crops' window ranges is scanned
 /// once through the block loop, in place in the series. Each window's dot
@@ -213,9 +210,8 @@ pub(crate) fn pool_on(
 /// slice of the same series, the kernel tier depends on the length alone,
 /// and a block entry equals its tier's one-row value. A crop pools alone,
 /// through [`pool_measure`], when it is zero-padded (shorter than the
-/// scale), when its own engine is the blocked one, or when its start is off
-/// the series' stride grid.
-pub fn pool_crops(
+/// scale) or when its start is off the series' stride grid.
+pub(crate) fn pool_crops_in(
     series: &Tensor,
     crops: &[(usize, &ScaleWindows)],
     measure: Measure,
@@ -226,8 +222,8 @@ pub fn pool_crops(
     // (crop, its series window range) for every crop the shared scan serves.
     let mut shared: Vec<(usize, Range<usize>)> = Vec::new();
     for (c, &(start, sw)) in crops.iter().enumerate() {
-        debug_assert!(start + sw.cols <= series.cols() && sw.padded.rows() == series.rows());
-        if sw.cols >= sw.len && start % sw.stride == 0 && Engine::of(sw) == Engine::Fused {
+        debug_assert!(start + sw.cols <= series.rows() && sw.d() == series.cols());
+        if sw.cols >= sw.len && start % sw.stride == 0 {
             let j0 = start / sw.stride;
             shared.push((c, j0..j0 + sw.n));
             out.push((vec![f32::NAN; k], vec![0usize; k]));
@@ -240,7 +236,7 @@ pub fn pool_crops(
     };
     tcsl_obs::counters::SHAPELET_POOL_FUSED.add(shared.len() as u64);
     let (len, stride) = (crops[first].1.len, crops[first].1.stride);
-    let width = (series.rows() * len) as f32;
+    let width = (series.cols() * len) as f32;
     shared.sort_by_key(|(_, r)| r.start);
     let mut i = 0;
     while i < shared.len() {
@@ -259,30 +255,36 @@ pub fn pool_crops(
             stride,
             n: run.len(),
         };
-        scan(&view, pre, Engine::Fused, 0..k, |kk, w, cross| {
-            let j = run.start + w;
-            for (c, r) in members {
-                if !r.contains(&j) {
-                    continue;
+        scan(
+            &view,
+            pre,
+            0..k,
+            #[inline(always)]
+            |kk, w, cross| {
+                let j = run.start + w;
+                for (c, r) in members {
+                    if !r.contains(&j) {
+                        continue;
+                    }
+                    let sw = crops[*c].1;
+                    let wc = j - r.start;
+                    let s = score(
+                        measure,
+                        cross,
+                        sw,
+                        wc,
+                        pre.sq_norms[kk],
+                        pre.inv_norms[kk],
+                        width,
+                    );
+                    let (pooled, args) = &mut out[*c];
+                    if wc == 0 || measure.better(s, pooled[kk]) {
+                        pooled[kk] = s;
+                        args[kk] = wc;
+                    }
                 }
-                let sw = crops[*c].1;
-                let wc = j - r.start;
-                let s = score(
-                    measure,
-                    cross,
-                    sw,
-                    wc,
-                    pre.sq_norms[kk],
-                    pre.inv_norms[kk],
-                    width,
-                );
-                let (pooled, args) = &mut out[*c];
-                if wc == 0 || measure.better(s, pooled[kk]) {
-                    pooled[kk] = s;
-                    args[kk] = wc;
-                }
-            }
-        });
+            },
+        );
         i = end;
     }
     out
@@ -293,7 +295,7 @@ pub fn pool_crops(
 /// localization (which needs every window's score, not just the pooled
 /// one).
 ///
-/// One row through the same engine and kernels as [`pool_group`]: a
+/// One row through the same block loop and kernels as [`pool_group`]: a
 /// kernel entry does not depend on the rows sharing its block, so the
 /// score of shapelet `k` here is bit-identical to the one pooling saw, and
 /// localization explains the feature value exactly at every tap width.
@@ -308,14 +310,14 @@ pub fn shapelet_scores(
         "shapelet {k} out of range for group of {}",
         g.k()
     );
-    let width = (sw.padded.rows() * sw.len) as f32;
+    let width = (sw.d() * sw.len) as f32;
     let (s_sq, s_inv) = (pre.sq_norms[k], pre.inv_norms[k]);
     let mut scores = vec![0.0f32; sw.n];
     scan(
         &Windows::of(sw),
         pre,
-        Engine::of(sw),
         k..k + 1,
+        #[inline(always)]
         |_, w, cross| {
             scores[w] = score(g.measure, cross, sw, w, s_sq, s_inv, width);
         },
@@ -325,8 +327,8 @@ pub fn shapelet_scores(
 
 /// One (window, shapelet) score. Mirrors [`Measure::finish`] exactly —
 /// cosine uses the cached inverse norms, which are bit-identical to the
-/// ones `finish` derives — so every engine produces the same value for the
-/// same raw dot product.
+/// ones `finish` derives — so pooling, localization and the crop scan
+/// produce the same value for the same raw dot product.
 #[inline]
 fn score(
     m: Measure,
@@ -344,62 +346,10 @@ fn score(
     }
 }
 
-/// Hands the raw dot product of every (tap row in `rows`, window of `view`)
-/// pair to `f(row, window, cross)`, each row's windows in increasing order,
-/// through `engine`.
-fn scan(
-    view: &Windows,
-    pre: &GroupPrecomp,
-    engine: Engine,
-    rows: Range<usize>,
-    f: impl FnMut(usize, usize, f32),
-) {
-    match &pre.taps {
-        GroupTaps::F32(taps) => scan_taps(view, taps, engine, rows, f),
-        GroupTaps::F16(taps) => scan_taps(view, taps, engine, rows, f),
-    }
-}
-
-fn scan_taps<T: TapElem>(
-    view: &Windows,
-    taps: &TapRows<T>,
-    engine: Engine,
-    rows: Range<usize>,
-    mut f: impl FnMut(usize, usize, f32),
-) {
-    let d = view.series.rows();
-    match engine {
-        Engine::Fused => {
-            // One gate check for the whole scan: one length-only dispatch
-            // decision shared by every per-variable dot.
-            T::count_dispatch(view.len, (rows.len() * d * view.n) as u64);
-            scan_view(view, taps, rows, &mut f);
-        }
-        Engine::Blocked => {
-            // A copied window is one row of d·len, so dispatch is on that.
-            let row_w = d * view.len;
-            T::count_dispatch(row_w, (rows.len() * view.n) as u64);
-            let mut row = Tensor::zeros([1, row_w]);
-            for w in 0..view.n {
-                let start = view.offset + w * view.stride;
-                window_row_into(view.series, start, view.len, row.as_mut_slice());
-                let one = Windows {
-                    series: &row,
-                    offset: 0,
-                    len: row_w,
-                    stride: row_w,
-                    n: 1,
-                };
-                scan_view(&one, taps, rows.clone(), &mut |k, _, c| f(k, w, c));
-            }
-        }
-    }
-}
-
-/// `n` windows of `len` steps, `stride` apart from `offset` on, read in
-/// place from `series`: a padded series, a run of a crop-sharing series
-/// ([`pool_crops`]) or one copied window as a single variable of `D·len`
-/// steps (blocked engine).
+/// `n` windows of `len` steps, `stride` steps apart from step `offset` on,
+/// read in place from a time-major `(steps, D)` buffer: a window state's
+/// own series or crop view, or a run of a crop-sharing series
+/// ([`pool_crops`]).
 struct Windows<'a> {
     series: &'a Tensor,
     offset: usize,
@@ -409,31 +359,52 @@ struct Windows<'a> {
 }
 
 impl<'a> Windows<'a> {
-    /// Every window of a window state's padded series.
+    /// Every window of a window state.
     fn of(sw: &'a ScaleWindows) -> Windows<'a> {
         Windows {
-            series: &sw.padded,
-            offset: 0,
+            series: &sw.series,
+            offset: sw.start,
             len: sw.len,
             stride: sw.stride,
             n: sw.n,
         }
     }
+
+    /// Window `w`: the contiguous `D·len` slice of its steps.
+    #[inline(always)]
+    fn window(&self, w: usize) -> &'a [f32] {
+        let d = self.series.cols();
+        let at = (self.offset + w * self.stride) * d;
+        &self.series.as_slice()[at..at + d * self.len]
+    }
 }
 
-/// Scans tap rows `rows` over every window of `view` in blocks of the
-/// group's shape: 2 rows × 4 windows for rows longer than
-/// [`PAIR_BLOCK_MIN_ROW`] on the 512-bit tier, else 4 rows × 1 window.
-fn scan_view<T: TapElem>(
+/// Hands the raw dot product of every (tap row in `rows`, window of `view`)
+/// pair to `f(row, window, cross)`, each row's windows in increasing order.
+fn scan(view: &Windows, pre: &GroupPrecomp, rows: Range<usize>, f: impl FnMut(usize, usize, f32)) {
+    match &pre.taps {
+        GroupTaps::F32(taps) => scan_taps(view, taps, rows, f),
+        GroupTaps::F16(taps) => scan_taps(view, taps, rows, f),
+    }
+}
+
+/// [`scan`] over one tap width, in blocks of the group's shape: 2 rows × 4
+/// windows for rows longer than [`PAIR_BLOCK_MIN_ROW`] on the 512-bit tier,
+/// else 4 rows × 1 window.
+fn scan_taps<T: TapElem>(
     view: &Windows,
     taps: &TapRows<T>,
     rows: Range<usize>,
-    f: &mut impl FnMut(usize, usize, f32),
+    mut f: impl FnMut(usize, usize, f32),
 ) {
-    if taps.row_len > PAIR_BLOCK_MIN_ROW && T::tier(view.len) == Tier::Avx512 {
-        scan_rows::<T, 2, 4>(view, taps, rows, f);
+    let width = taps.row_len;
+    debug_assert_eq!(width, view.series.cols() * view.len, "tap row is D·len");
+    // One gate check for the whole scan: every window is one dot of `width`.
+    T::count_dispatch(width, (rows.len() * view.n) as u64);
+    if width > PAIR_BLOCK_MIN_ROW && T::tier(width) == Tier::Avx512 {
+        scan_rows::<T, 2, 4>(view, taps, rows, &mut f);
     } else {
-        scan_rows::<T, 4, 1>(view, taps, rows, f);
+        scan_rows::<T, 4, 1>(view, taps, rows, &mut f);
     }
 }
 
@@ -460,7 +431,8 @@ fn scan_rows<T: TapElem, const R: usize, const W: usize>(
 }
 
 /// Tap rows `kb..kb + R` against every window of `view`, `W` windows per
-/// kernel call and the trailing `n % W` windows one per call.
+/// kernel call and the trailing `n % W` windows one per call; each window
+/// is one [`dots`] operand.
 fn scan_block<T: TapElem, const R: usize, const W: usize>(
     view: &Windows,
     taps: &TapRows<T>,
@@ -470,8 +442,7 @@ fn scan_block<T: TapElem, const R: usize, const W: usize>(
     let rows: [&[T]; R] = std::array::from_fn(|j| taps.row(kb + j));
     let mut w = 0usize;
     while w + W <= view.n {
-        let starts: [usize; W] = std::array::from_fn(|i| view.offset + (w + i) * view.stride);
-        let cross = window_dots(view.series, rows, starts, view.len);
+        let cross = dots::<T, R, W>(std::array::from_fn(|i| view.window(w + i)), rows);
         for (j, c) in cross.iter().enumerate() {
             for (i, &x) in c.iter().enumerate() {
                 f(kb + j, w + i, x);
@@ -480,7 +451,7 @@ fn scan_block<T: TapElem, const R: usize, const W: usize>(
         w += W;
     }
     for w in w..view.n {
-        let cross = window_dots(view.series, rows, [view.offset + w * view.stride], view.len);
+        let cross = dots([view.window(w)], rows);
         for (j, [x]) in cross.iter().enumerate() {
             f(kb + j, w, *x);
         }
@@ -493,6 +464,7 @@ mod tests {
     use crate::config::ShapeletConfig;
     use crate::transform::windows_for;
     use crate::ShapeletBank;
+    use tcsl_tensor::dot::SIMD_MIN_LEN;
     use tcsl_tensor::rng::seeded;
 
     fn setup(d: usize, t: usize, len: usize, stride: usize, k: usize) -> (ShapeletBank, Tensor) {
@@ -521,20 +493,16 @@ mod tests {
         for (gi, g) in bank.groups().iter().enumerate() {
             let sw = ScaleWindows::new(series, g.len, g.stride);
             let (want, want_args) = oracle(g, series);
-            for (pooled, a) in [
-                pool_on(&sw, g.measure, &pre[gi], Engine::Fused),
-                pool_on(&sw, g.measure, &pre[gi], Engine::Blocked),
-            ] {
-                for j in 0..g.k() {
-                    assert!(
-                        (pooled[j] - want[j]).abs() < 1e-4,
-                        "{:?} k={j}: fused {} vs oracle {}",
-                        g.measure,
-                        pooled[j],
-                        want[j]
-                    );
-                    assert_eq!(a[j], want_args[j], "{:?} k={j} argmin", g.measure);
-                }
+            let (pooled, a) = pool_measure(&sw, g.measure, &pre[gi]);
+            for j in 0..g.k() {
+                assert!(
+                    (pooled[j] - want[j]).abs() < 1e-4,
+                    "{:?} k={j}: fused {} vs oracle {}",
+                    g.measure,
+                    pooled[j],
+                    want[j]
+                );
+                assert_eq!(a[j], want_args[j], "{:?} k={j} argmin", g.measure);
             }
         }
     }
@@ -547,7 +515,7 @@ mod tests {
 
     #[test]
     fn engines_agree_with_stride_and_many_tiles() {
-        // Many windows at stride 2, through both engines.
+        // Many windows at stride 2.
         let (bank, series) = setup(1, 300, 7, 2, 4);
         assert_engines_match(&bank, &series);
     }
@@ -579,16 +547,60 @@ mod tests {
         }
     }
 
+    /// Every localization score is one dot over the window's contiguous
+    /// time-major slice against the shapelet's row transposed to the same
+    /// layout, finished by [`Measure::finish`], bit for bit: at `D = 3` and
+    /// len 32 only `D·len` reaches the SIMD tiers, and the dot still covers
+    /// the whole window.
     #[test]
-    fn blocked_path_engages_on_large_series() {
-        // 2 vars × 200k steps = 1.6 MB > BLOCKED_SERIES_BYTES.
-        let (bank, series) = setup(2, 200_000, 16, 512, 2);
-        let g = &bank.groups()[0];
-        assert!(series.numel() * 4 > BLOCKED_SERIES_BYTES);
-        let pre = bank.precomputed();
-        let sw = ScaleWindows::new(&series, g.len, g.stride);
-        let (via_dispatch, _) = pool_group(&sw, g, &pre[0]);
-        let (via_blocked, _) = pool_on(&sw, g.measure, &pre[0], Engine::Blocked);
-        assert_eq!(via_dispatch, via_blocked);
+    fn shapelet_scores_are_one_dot_per_window() {
+        use tcsl_tensor::quant::QuantScheme;
+        for (d, len, stride) in [
+            (1usize, 70usize, 1usize),
+            (2, 20, 2),
+            (2, 64, 3),
+            (3, 32, 1),
+            (3, 63, 2),
+            (3, 80, 3),
+            (5, 13, 1),
+            (5, 66, 2),
+        ] {
+            for half in [false, true] {
+                let (mut bank, series) = setup(d, 3 * len + 7, len, stride, 5);
+                if half {
+                    bank.quantize(QuantScheme::F16).unwrap();
+                }
+                let x = tcsl_tensor::window::time_major(&series, 0);
+                let pre = bank.precomputed();
+                for (gi, g) in bank.groups().iter().enumerate() {
+                    let sw = ScaleWindows::new(&series, g.len, g.stride);
+                    let width = (d * len) as f32;
+                    for k in 0..g.k() {
+                        let row = g.shapelets.row(k);
+                        let tm: Vec<f32> =
+                            (0..d * len).map(|j| row[(j % d) * len + j / d]).collect();
+                        let scores = shapelet_scores(&sw, g, &pre[gi], k);
+                        for (w, &got) in scores.iter().enumerate() {
+                            let win = &x.as_slice()[w * stride * d..(w * stride + len) * d];
+                            let cross = if half && len >= SIMD_MIN_LEN {
+                                let h: Vec<u16> = tm.iter().map(|&v| u16::from_f32(v)).collect();
+                                dots::<u16, 1, 1>([win], [&h[..]])[0][0]
+                            } else {
+                                dots::<f32, 1, 1>([win], [&tm[..]])[0][0]
+                            };
+                            let want =
+                                g.measure
+                                    .finish(cross, sw.sq_norms[w], pre[gi].sq_norms[k], width);
+                            assert_eq!(
+                                got.to_bits(),
+                                want.to_bits(),
+                                "D={d} len={len} stride={stride} f16={half} {:?} k={k} w={w}",
+                                g.measure
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 }

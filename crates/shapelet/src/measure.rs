@@ -65,10 +65,9 @@ impl Measure {
 
     /// Finishes a raw window·shapelet dot product into this measure's
     /// score, given the squared norms of both sides and the flattened
-    /// width `D·len`. Every scoring path — the unfold-based oracle, the
-    /// fused streaming kernel and the blocked tile kernel — funnels through
-    /// this one function, so engines can only differ by the rounding of
-    /// their inputs, never by formula.
+    /// width `D·len`. Both scoring paths — the unfold-based oracle and the
+    /// fused streaming kernel — funnel through this one function, so they
+    /// can only differ by the rounding of their inputs, never by formula.
     #[inline]
     pub fn finish(self, cross: f32, w_sq: f32, s_sq: f32, width: f32) -> f32 {
         match self {

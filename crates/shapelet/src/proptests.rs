@@ -5,7 +5,7 @@ use crate::bank::ShapeletBank;
 use crate::config::ShapeletConfig;
 use crate::diff_transform::oracle::diff_features_oracle;
 use crate::diff_transform::{bind_trainable, diff_features};
-use crate::fused::{pool_crops, pool_measure, pool_on, Engine, ScaleWindows};
+use crate::fused::{pool_crops, pool_measure, ScaleWindows};
 use crate::measure::Measure;
 use crate::transform::{transform_dataset, transform_series, transform_series_oracle, windows_for};
 use proptest::prelude::*;
@@ -223,7 +223,7 @@ proptest! {
 
     #[test]
     fn fused_engines_agree_with_oracle_pooling((bank, series) in arb_fused_setup()) {
-        // Both streaming engines must reproduce the oracle's pooled score
+        // The streaming engine must reproduce the oracle's pooled score
         // (≤1e-4) and its exact best-window index, for every measure.
         let pre = bank.precomputed();
         for (gi, g) in bank.groups().iter().enumerate() {
@@ -231,16 +231,13 @@ proptest! {
             let windows = windows_for(series.values(), g.len, g.stride);
             let scores = g.measure.score_matrix(&windows, &g.shapelets);
             let (opooled, oargs) = g.measure.pool(&scores);
-            let fused = pool_on(&sw, g.measure, &pre[gi], Engine::Fused);
-            let blocked = pool_on(&sw, g.measure, &pre[gi], Engine::Blocked);
-            for (pooled, args) in [&fused, &blocked] {
-                for k in 0..g.k() {
-                    prop_assert!(
-                        (pooled[k] - opooled.as_slice()[k]).abs() < 1e-4,
-                        "{:?} k={}: {} vs oracle {}", g.measure, k, pooled[k], opooled.as_slice()[k]
-                    );
-                    prop_assert_eq!(args[k], oargs[k], "{:?} k={} argmin", g.measure, k);
-                }
+            let (pooled, args) = pool_measure(&sw, g.measure, &pre[gi]);
+            for k in 0..g.k() {
+                prop_assert!(
+                    (pooled[k] - opooled.as_slice()[k]).abs() < 1e-4,
+                    "{:?} k={}: {} vs oracle {}", g.measure, k, pooled[k], opooled.as_slice()[k]
+                );
+                prop_assert_eq!(args[k], oargs[k], "{:?} k={} argmin", g.measure, k);
             }
         }
     }

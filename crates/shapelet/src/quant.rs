@@ -72,7 +72,7 @@ mod tests {
     use super::*;
     use crate::config::ShapeletConfig;
     use crate::fused::PAIR_BLOCK_MIN_ROW;
-    use crate::fused::{pool_group, pool_on, shapelet_scores, Engine, ScaleWindows};
+    use crate::fused::{pool_group, pool_measure, shapelet_scores, ScaleWindows};
     use crate::transform::transform_series;
     use crate::{Measure, ShapeletBank};
     use tcsl_data::TimeSeries;
@@ -111,32 +111,27 @@ mod tests {
 
     #[test]
     fn quant_pooling_matches_f32_pooling_on_dequantized_taps() {
-        // Both engines (fused and blocked) over binary16 taps vs the f32
-        // engines on the *dequantized* bank: the same values stream through
-        // (just narrower storage), so the scores agree to kernel round-off
-        // and argmins agree exactly.
+        // The engine over binary16 taps vs the engine over f32 taps of the
+        // *dequantized* bank: the same values stream through (just
+        // narrower storage), so the scores agree to kernel round-off and
+        // argmins agree exactly.
         let mut rng = seeded(32);
         for &(d, t, len, k) in &[(1usize, 120usize, 64usize, 5usize), (2, 200, 70, 4)] {
             let (q, deq) = banks(d, len, k);
             let series = Tensor::randn([d, t], &mut rng);
             for (gi, g) in q.groups().iter().enumerate() {
                 let sw = ScaleWindows::new(&series, g.len, g.stride);
-                let (want, want_args) =
-                    pool_on(&sw, g.measure, &deq.precomputed()[gi], Engine::Fused);
-                for (got, got_args) in [
-                    pool_on(&sw, g.measure, &q.precomputed()[gi], Engine::Fused),
-                    pool_on(&sw, g.measure, &q.precomputed()[gi], Engine::Blocked),
-                ] {
-                    for j in 0..k {
-                        assert!(
-                            (got[j] - want[j]).abs() < 1e-4 * (1.0 + want[j].abs()),
-                            "{:?} k={j}: f16 {} vs f32-on-deq {}",
-                            g.measure,
-                            got[j],
-                            want[j]
-                        );
-                        assert_eq!(got_args[j], want_args[j], "{:?} k={j}", g.measure);
-                    }
+                let (want, want_args) = pool_measure(&sw, g.measure, &deq.precomputed()[gi]);
+                let (got, got_args) = pool_measure(&sw, g.measure, &q.precomputed()[gi]);
+                for j in 0..k {
+                    assert!(
+                        (got[j] - want[j]).abs() < 1e-4 * (1.0 + want[j].abs()),
+                        "{:?} k={j}: f16 {} vs f32-on-deq {}",
+                        g.measure,
+                        got[j],
+                        want[j]
+                    );
+                    assert_eq!(got_args[j], want_args[j], "{:?} k={j}", g.measure);
                 }
             }
         }

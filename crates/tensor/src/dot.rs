@@ -32,9 +32,11 @@ use tcsl_obs::counters::{self, Counter};
 
 /// Operand length from which the SIMD tiers run. Below it the call into the
 /// runtime-detected bodies costs more than it saves, and the scalar body
-/// inlines into the caller's loop. The same value gates both tap widths,
-/// and `tcsl_shapelet::ShapeletBank::precomputed` stores binary16 taps only
-/// from this span on.
+/// inlines into the caller's loop. The same value gates both tap widths.
+/// The shapelet engine's operand is a whole `D·len` window, so at `D = 3`
+/// every span from 22 steps on runs a SIMD tier;
+/// `tcsl_shapelet::ShapeletBank::precomputed` still stores binary16 taps
+/// only for per-variable spans from this value on.
 pub const SIMD_MIN_LEN: usize = 64;
 
 /// Operand length from which binary16 taps take the 512-bit tier. That body
@@ -405,7 +407,7 @@ mod x86 {
 pub(crate) mod tests {
     use super::*;
     use crate::tensor::Tensor;
-    use crate::window::{unfold, window_dots};
+    use crate::window::{time_major, unfold};
     use rand::{Rng, SeedableRng};
 
     const LENS: [usize; 18] = [
@@ -465,7 +467,7 @@ pub(crate) mod tests {
     /// their leftover blocks), at both tap widths, on every tier this host
     /// runs — each tier called directly, so the scalar tier also runs at
     /// SIMD lengths and the 256-bit tier above the 512-bit threshold. Then
-    /// the same contract one level up, for `window_dots` over a series.
+    /// the same contract for windows read in place from a time-major series.
     #[test]
     fn kernel_family_table() {
         let mut rng = rand::rngs::StdRng::seed_from_u64(17);
@@ -524,44 +526,43 @@ pub(crate) mod tests {
             (f, h) = (f32::tier(n) as u8, u16::tier(n) as u8);
         }
 
-        // `window_dots` sums the per-variable one-row values in variable
-        // order, for every block shape and both tap widths, and matches the
-        // window rows of `unfold`.
+        // One dot over a window's contiguous time-major slice against a
+        // time-major tap row: every block shape at both tap widths gives the
+        // one-row bits, and matches the window rows of `unfold`.
         for &(d, t, len, stride) in &[
             (1usize, 20usize, 3usize, 1usize),
             (2, 17, 4, 2),
             (3, 300, 80, 3),
         ] {
             let s = Tensor::randn([d, t], &mut rng);
+            let x = time_major(&s, 0);
             let rows: Vec<Vec<f32>> = (0..2).map(|_| random(&mut rng, d * len)).collect();
             let halves: Vec<Vec<u16>> = rows
                 .iter()
                 .map(|r| r.iter().map(|&x| u16::from_f32(x)).collect())
                 .collect();
+            // The tap rows, channel-major like `unfold`'s window rows.
+            let channel_major = |r: &[u16]| -> Vec<u16> {
+                (0..d * len).map(|j| r[(j % len) * d + j / len]).collect()
+            };
             let unfolded = unfold(&s, len, stride);
             let n = unfolded.rows();
+            let win = |w: usize| &x.as_slice()[w * stride * d..(w * stride + len) * d];
             for w in 0..n.saturating_sub(3) {
-                let starts = [w, w + 1, w + 2, w + 3].map(|x| x * stride);
-                let quad = window_dots(&s, [&halves[0][..], &halves[1][..]], starts, len);
+                let ws = [win(w), win(w + 1), win(w + 2), win(w + 3)];
+                let quad = dots(ws, [&halves[0][..], &halves[1][..]]);
                 for (j, h) in halves.iter().enumerate() {
-                    for (i, &start) in starts.iter().enumerate() {
-                        let one = window_dots(&s, [&h[..]], [start], len)[0][0];
-                        let mut sum = 0.0f32;
-                        for v in 0..d {
-                            let span = v * len..(v + 1) * len;
-                            sum += dots::<u16, 1, 1>([&s.row(v)[start..start + len]], [&h[span]])
-                                [0][0];
-                        }
+                    for (i, &ws) in ws.iter().enumerate() {
+                        let one = dots::<u16, 1, 1>([ws], [&h[..]])[0][0];
                         assert_eq!(quad[j][i].to_bits(), one.to_bits(), "w={w} row {j}");
-                        assert_eq!(one.to_bits(), sum.to_bits(), "w={w} row {j}");
-                        let (want, scale) = reference(unfolded.row(w + i), h);
+                        let (want, scale) = reference(unfolded.row(w + i), &channel_major(h)[..]);
                         assert!((one as f64 - want).abs() <= 1e-5 * scale.max(1.0));
                     }
                 }
-                let pair = window_dots(&s, [&rows[0][..], &rows[1][..]], starts, len);
+                let pair = dots(ws, [&rows[0][..], &rows[1][..]]);
                 for (j, r) in rows.iter().enumerate() {
-                    for (i, &start) in starts.iter().enumerate() {
-                        let one = window_dots(&s, [&r[..]], [start], len)[0][0];
+                    for (i, &ws) in ws.iter().enumerate() {
+                        let one = dots::<f32, 1, 1>([ws], [&r[..]])[0][0];
                         assert_eq!(pair[j][i].to_bits(), one.to_bits(), "f32 w={w} row {j}");
                     }
                 }

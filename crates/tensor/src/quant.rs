@@ -111,7 +111,7 @@ mod tests {
     use crate::dot::tests::{check_block, host_tiers, random};
     use crate::dot::{dots, TapElem, Tier, SIMD_MIN_LEN};
     use crate::tensor::Tensor;
-    use crate::window::window_dots;
+    use crate::window::time_major;
     use rand::{Rng, SeedableRng};
 
     #[test]
@@ -239,28 +239,28 @@ mod tests {
         }
     }
 
-    /// `window_dots` over binary16 taps agrees with the same call on the
-    /// dequantized f32 taps (bit for bit when both widths take one tier),
-    /// and a 4-row block gives each row the one-row bits.
+    /// Dots over contiguous time-major window slices with binary16 taps
+    /// agree with the same calls on the dequantized f32 taps (bit for bit
+    /// when both widths take one tier), and a 4-row block gives each row
+    /// the one-row bits.
     #[test]
     fn window_wrappers_match_plain_window_dot_on_dequantized_taps() {
         let mut rng = rand::rngs::StdRng::seed_from_u64(13);
         for &(d, t, len) in &[(1usize, 40usize, 5usize), (3, 300, 80)] {
-            let s = Tensor::randn([d, t], &mut rng);
+            let x = time_major(&Tensor::randn([d, t], &mut rng), 0);
             let bank = Tensor::randn([4, d * len], &mut rng);
             let rows: Vec<Vec<u16>> = (0..4).map(|j| quantize(bank.row(j))).collect();
             let deq: Vec<Vec<f32>> = rows.iter().map(|r| dequantize(r)).collect();
-            let same_tier = u16::tier(len) == f32::tier(len);
+            let same_tier = u16::tier(d * len) == f32::tier(d * len);
             for w in 0..(t - len + 1) {
-                let g4 = window_dots(
-                    &s,
+                let win = &x.as_slice()[w * d..(w + len) * d];
+                let g4 = dots(
+                    [win],
                     [&rows[0][..], &rows[1][..], &rows[2][..], &rows[3][..]],
-                    [w],
-                    len,
                 );
                 for j in 0..4 {
-                    let want = window_dots(&s, [&deq[j][..]], [w], len)[0][0];
-                    let single = window_dots(&s, [&rows[j][..]], [w], len)[0][0];
+                    let want = dots([win], [&deq[j][..]])[0][0];
+                    let single = dots([win], [&rows[j][..]])[0][0];
                     let tol = 1e-4 * (1.0 + want.abs());
                     assert!((g4[j][0] - want).abs() < tol, "w={w} j={j}");
                     assert!((single - want).abs() < tol, "single w={w} j={j}");

@@ -47,17 +47,21 @@ pub fn znorm(xs: &[f32]) -> Vec<f32> {
     v
 }
 
-/// Exclusive prefix sums of squares in f64: `out[i] = Σ_{j<i} xs[j]²`,
-/// `out.len() == xs.len() + 1`. The f64 accumulation keeps the windowed
-/// differences `out[b] − out[a]` accurate to f32 round-off even over very
-/// long series — this is the O(T) pass behind the O(1)-per-window Euclidean
-/// norms of the fused shapelet transform.
-pub fn prefix_sq_sums(xs: &[f32]) -> Vec<f64> {
-    let mut out = Vec::with_capacity(xs.len() + 1);
+/// Exclusive prefix sums of squares in f64, summed in order and kept at
+/// every `step`-th element: `out[i] = Σ_{j<i·step} xs[j]²`,
+/// `out.len() == xs.len() / step + 1` (`xs` holds whole steps). The f64
+/// accumulation keeps the windowed differences `out[b] − out[a]` accurate
+/// to f32 round-off even over very long series — this is the O(D·T) pass
+/// behind the O(1)-per-window Euclidean norms of the fused shapelet
+/// transform, one step being the `D` values of a time-major time step.
+pub fn prefix_sq_sums(xs: &[f32], step: usize) -> Vec<f64> {
+    let mut out = Vec::with_capacity(xs.len() / step + 1);
     let mut acc = 0.0f64;
     out.push(acc);
-    for &x in xs {
-        acc += (x as f64) * (x as f64);
+    for chunk in xs.chunks_exact(step) {
+        for &x in chunk {
+            acc += (x as f64) * (x as f64);
+        }
         out.push(acc);
     }
     out
@@ -223,13 +227,16 @@ mod tests {
     #[test]
     fn prefix_sq_sums_window_differences() {
         let xs = [1.0f32, 2.0, 3.0, 4.0];
-        let ps = prefix_sq_sums(&xs);
+        let ps = prefix_sq_sums(&xs, 1);
         assert_eq!(ps.len(), 5);
         assert_eq!(ps[0], 0.0);
         // Window [1, 3) = 2² + 3² = 13.
         assert!((ps[3] - ps[1] - 13.0).abs() < 1e-9);
         assert!((ps[4] - 30.0).abs() < 1e-9);
-        assert!(prefix_sq_sums(&[]).len() == 1);
+        assert!(prefix_sq_sums(&[], 1).len() == 1);
+        // Two-value steps keep every other boundary of the same sums.
+        let pairs = prefix_sq_sums(&xs, 2);
+        assert_eq!(pairs, vec![ps[0], ps[2], ps[4]]);
     }
 
     #[test]

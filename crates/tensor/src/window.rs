@@ -1,11 +1,13 @@
-//! Sliding-window unfolding of (multivariate) time series.
+//! Sliding windows over (multivariate) time series.
 //!
 //! The shapelet transform compares every learnable shapelet against every
 //! length-`L` window of a series. `unfold` materializes those windows as the
 //! rows of a matrix so the comparison becomes one `matmul_transb` against the
-//! shapelet bank.
+//! shapelet bank: the reference formulation. The fused engine instead reads
+//! the windows in place from a [`time_major`] copy of the series, where each
+//! window is one contiguous slice, and takes their norms from
+//! [`window_sq_norms`].
 
-use crate::dot::{dots, TapElem};
 use crate::tensor::Tensor;
 
 /// Number of stride-`stride` windows of length `len` in a series of length
@@ -119,63 +121,39 @@ pub fn unfold_dilated_backward(
     out
 }
 
-/// Squared Euclidean norm `‖w‖²` of every stride-`stride` window of length
-/// `len`, without materializing the windows: one O(T) prefix-sum-of-squares
-/// pass per variable (f64 accumulators, see
-/// [`crate::stats::prefix_sq_sums`]), then O(1) per window. All measures of
-/// a scale share this vector — it is the backbone of the fused shapelet
-/// transform.
-pub fn window_sq_norms(series: &Tensor, len: usize, stride: usize) -> Vec<f32> {
+/// The time-major copy of a `(D, T)` series, zero-padded on the right to at
+/// least `min_len` steps: a `(max(T, min_len), D)` tensor holding step `t`
+/// of variable `v` at `t·D + v`. In this layout the window of `len` steps
+/// starting at step `s` is the contiguous slice `[s·D, (s + len)·D)`, so one
+/// dot product of length `D·len` scores it against a tap row stored the same
+/// way.
+pub fn time_major(series: &Tensor, min_len: usize) -> Tensor {
     let (d, t) = (series.rows(), series.cols());
-    let n = count_windows(t, len, stride);
-    let mut acc = vec![0.0f64; n];
+    let mut out = Tensor::zeros([t.max(min_len), d]);
+    let dst = out.as_mut_slice();
     for v in 0..d {
-        let ps = crate::stats::prefix_sq_sums(series.row(v));
-        for (w, a) in acc.iter_mut().enumerate() {
-            let start = w * stride;
-            *a += ps[start + len] - ps[start];
+        for (i, &x) in series.row(v).iter().enumerate() {
+            dst[i * d + v] = x;
         }
     }
-    acc.into_iter().map(|x| x as f32).collect()
+    out
 }
 
-/// Dot products of `R` flattened channel-major tap rows (layout
-/// `[var0[0..len], var1[0..len], ...]`, matching [`unfold`] rows) against
-/// the `W` windows starting at `starts`, reading the series in place:
-/// `out[r][w]` sums, in variable order, the per-variable [`dots`] values.
-/// Every entry therefore equals the one-row `window_dots::<T, 1, 1>` value
-/// bit for bit, whatever the block shape.
-///
-/// Dispatch telemetry is the caller's job (batch one
-/// [`TapElem::count_dispatch`] per window loop): this kernel runs once per
-/// window block, and even a disabled gate check here would be measurable.
-#[inline(always)]
-pub fn window_dots<T: TapElem, const R: usize, const W: usize>(
-    series: &Tensor,
-    taps: [&[T]; R],
-    starts: [usize; W],
-    len: usize,
-) -> [[f32; W]; R] {
-    let d = series.rows();
-    debug_assert!(
-        taps.iter().all(|t| t.len() == d * len),
-        "shapelet width mismatch"
-    );
-    let mut cross = [[0.0f32; W]; R];
-    for v in 0..d {
-        let row = series.row(v);
-        let span = v * len..(v + 1) * len;
-        let r = dots(
-            starts.map(|s| &row[s..s + len]),
-            taps.map(|t| &t[span.clone()]),
-        );
-        for (c, x) in cross.iter_mut().zip(r) {
-            for (c, x) in c.iter_mut().zip(x) {
-                *c += x;
-            }
-        }
-    }
-    cross
+/// Squared Euclidean norm `‖w‖²` of every stride-`stride` window of `len`
+/// steps of a time-major buffer `x` of `D`-variable steps (layout of
+/// [`time_major`]), without materializing the windows: one O(D·T)
+/// prefix-sum-of-squares pass over the interleaved buffer, kept at step
+/// boundaries (f64 accumulators, see [`crate::stats::prefix_sq_sums`]),
+/// then O(1) per window. All measures of a scale share this vector — it is
+/// the backbone of the fused shapelet transform. A window's norm depends
+/// only on its own values and on the values before it in `x`, so a crop's
+/// norms read from its slice of a longer buffer equal those of its own
+/// copy.
+pub fn window_sq_norms(x: &[f32], d: usize, len: usize, stride: usize) -> Vec<f32> {
+    let ps = crate::stats::prefix_sq_sums(x, d);
+    (0..count_windows(ps.len() - 1, len, stride))
+        .map(|w| (ps[w * stride + len] - ps[w * stride]) as f32)
+        .collect()
 }
 
 /// Extracts a single window `(D, len)` starting at `start` from a `(D, T)`
@@ -195,30 +173,13 @@ pub fn window_at(series: &Tensor, start: usize, len: usize) -> Tensor {
     out
 }
 
-/// Writes one window's values channel-major (`[var0 | var1 | ...]` — the
-/// flattened shapelet-row layout) into `dst`, which must have length
-/// `D·len`. The no-allocation sibling of [`window_at`]: analytic backward
-/// passes call it once per shapelet into a reused scratch row.
-pub fn window_row_into(series: &Tensor, start: usize, len: usize, dst: &mut [f32]) {
-    let (d, t) = (series.rows(), series.cols());
-    assert!(
-        start + len <= t,
-        "window [{start}, {}) exceeds series length {t}",
-        start + len
-    );
-    assert_eq!(dst.len(), d * len, "dst must hold D·len values");
-    for v in 0..d {
-        dst[v * len..(v + 1) * len].copy_from_slice(&series.row(v)[start..start + len]);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dot::dots;
 
-    /// Scoring every window with `window_dots` matches the unfold-then-
-    /// matmul route, and each score is the in-order sum of the
-    /// per-variable one-row dots, bit for bit.
+    /// One `dots` call over a window's contiguous time-major slice against
+    /// the time-major tap row matches the unfold-then-matmul route.
     #[test]
     fn sliding_dots_match_unfold_matmul() {
         use rand::SeedableRng;
@@ -226,36 +187,34 @@ mod tests {
         for &(d, t, len, stride) in &[(1usize, 20usize, 3usize, 1usize), (2, 17, 4, 2)] {
             let s = Tensor::randn([d, t], &mut rng);
             let shapelet = Tensor::randn([1, d * len], &mut rng);
-            let taps = shapelet.as_slice();
             let want = crate::matmul::matmul_transb(&unfold(&s, len, stride), &shapelet);
             assert_eq!(count_windows(t, len, stride), want.rows());
+            let x = time_major(&s, 0);
+            let taps = time_major(&shapelet.reshape([d, len]), 0);
             for i in 0..want.rows() {
-                let start = i * stride;
-                let got = window_dots(&s, [taps], [start], len)[0][0];
+                let at = i * stride * d;
+                let got = dots([&x.as_slice()[at..at + d * len]], [taps.as_slice()])[0][0];
                 assert!((got - want.at2(i, 0)).abs() < 1e-4, "window {i}");
-                let mut sum = 0.0f32;
-                for v in 0..d {
-                    let span = v * len..(v + 1) * len;
-                    sum += crate::matmul::dot(&s.row(v)[start..start + len], &taps[span]);
-                }
-                assert_eq!(got.to_bits(), sum.to_bits(), "window {i}");
             }
         }
     }
 
-    /// A 4-row block gives each row the one-row `window_dots` bits.
+    /// A 4-row block over contiguous window slices gives each row the
+    /// one-row bits.
     #[test]
     fn window_dot4_matches_single_window_dots() {
         use rand::SeedableRng;
         let mut rng = rand::rngs::StdRng::seed_from_u64(23);
         for &(d, t, len, stride) in &[(1usize, 30usize, 5usize, 1usize), (3, 90, 70, 2)] {
-            let s = Tensor::randn([d, t], &mut rng);
+            let x = time_major(&Tensor::randn([d, t], &mut rng), 0);
             let bank = Tensor::randn([4, d * len], &mut rng);
             let taps = [bank.row(0), bank.row(1), bank.row(2), bank.row(3)];
             for w in 0..count_windows(t, len, stride) {
-                let got = window_dots(&s, taps, [w * stride], len);
+                let at = w * stride * d;
+                let win = &x.as_slice()[at..at + d * len];
+                let got = dots([win], taps);
                 for (j, &tap_row) in taps.iter().enumerate() {
-                    let want = window_dots(&s, [tap_row], [w * stride], len)[0][0];
+                    let want = dots([win], [tap_row])[0][0];
                     assert_eq!(
                         got[j][0].to_bits(),
                         want.to_bits(),
@@ -265,6 +224,15 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn time_major_interleaves_and_pads() {
+        let s = Tensor::from_vec(vec![0.0, 1.0, 2.0, 10.0, 11.0, 12.0], [2, 3]);
+        let x = time_major(&s, 4);
+        assert_eq!(x.shape().dims(), &[4, 2]);
+        assert_eq!(x.as_slice(), &[0.0, 10.0, 1.0, 11.0, 2.0, 12.0, 0.0, 0.0]);
+        assert_eq!(time_major(&s, 2).transpose2(), s);
     }
 
     #[test]
@@ -353,7 +321,7 @@ mod tests {
             (2, 8, 8, 3),
         ] {
             let s = Tensor::randn([d, t], &mut rng);
-            let norms = window_sq_norms(&s, len, stride);
+            let norms = window_sq_norms(time_major(&s, 0).as_slice(), d, len, stride);
             let w = unfold(&s, len, stride);
             assert_eq!(norms.len(), w.rows());
             for (i, &norm) in norms.iter().enumerate() {
@@ -373,22 +341,5 @@ mod tests {
         assert_eq!(w.shape().dims(), &[2, 2]);
         assert_eq!(w.row(0), &[1.0, 2.0]);
         assert_eq!(w.row(1), &[11.0, 12.0]);
-    }
-
-    #[test]
-    fn window_row_matches_window_at_flattened() {
-        let s = Tensor::from_vec(vec![0.0, 1.0, 2.0, 3.0, 10.0, 11.0, 12.0, 13.0], [2, 4]);
-        let mut row = [0.0f32; 4];
-        window_row_into(&s, 1, 2, &mut row);
-        assert_eq!(row, [1.0, 2.0, 11.0, 12.0]);
-        assert_eq!(window_at(&s, 1, 2).as_slice(), &row);
-    }
-
-    #[test]
-    #[should_panic(expected = "D·len")]
-    fn window_row_rejects_wrong_dst_length() {
-        let s = Tensor::from_vec(vec![0.0, 1.0, 2.0, 3.0], [1, 4]);
-        let mut row = [0.0f32; 3];
-        window_row_into(&s, 0, 2, &mut row);
     }
 }
