@@ -73,9 +73,6 @@ fn p50_ms(times: &mut [f64]) -> f64 {
 
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
-    let host_cores = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1);
     let (ns, n_queries): (&[usize], usize) = if smoke {
         (&[512, 2048], 16)
     } else {
@@ -204,9 +201,9 @@ fn main() {
     }
 
     let report = format!(
-        "{{\"bench\":\"index\",\"schema_version\":{},\"host_cores\":{},\"smoke\":{},\"dim\":{},\"latent_dim\":{},\"k\":{},\"unit_note\":\"corpus = low-rank Gaussian (LATENT-dim latent x fixed projection + 0.05 ambient noise); exact/ivf p50 = median over individually timed single-row queries (serving shape, ms); recall_at_10 = fraction of exact top-10 indices the IVF shortlist returns; cells_probed/candidates = ivf.* counter totals over one instrumented batch pass; crossover_n = smallest benched N where IVF p50 beats exact; nlist = round(sqrt(N)), nprobe = max(4, nlist/16); full-probe parity asserted at the smallest N\",\"cases\":[\n  {}\n],\"crossover_n\":{}}}\n",
+        "{{\"bench\":\"index\",\"schema_version\":{},\"host\":{},\"smoke\":{},\"dim\":{},\"latent_dim\":{},\"k\":{},\"unit_note\":\"corpus = low-rank Gaussian (LATENT-dim latent x fixed projection + 0.05 ambient noise); exact/ivf p50 = median over individually timed single-row queries (serving shape, ms); recall_at_10 = fraction of exact top-10 indices the IVF shortlist returns; cells_probed/candidates = ivf.* counter totals over one instrumented batch pass; crossover_n = smallest benched N where IVF p50 beats exact; nlist = round(sqrt(N)), nprobe = max(4, nlist/16); full-probe parity asserted at the smallest N\",\"cases\":[\n  {}\n],\"crossover_n\":{}}}\n",
         tcsl_bench::contract::SCHEMA_VERSION,
-        host_cores,
+        tcsl_bench::contract::host_record(),
         smoke,
         DIM,
         LATENT,
@@ -219,6 +216,7 @@ fn main() {
         "index",
         &report,
         &[
+            "host.cores",
             "crossover_n",
             "cases[].build_secs",
             "cases[].recall_at_10",

@@ -37,3 +37,16 @@ pub use finetune::{FineTuneConfig, LinearHead};
 pub use pipeline::TimeCsl;
 pub use tcsl_shapelet::diff_transform::DiffPath;
 pub use trainer::{pretrain, TrainingReport};
+
+#[cfg(test)]
+pub(crate) mod testlock {
+    //! Trace state is process-global, so tests that switch tracing on and
+    //! off around a run serialize on this lock.
+    use std::sync::{Mutex, MutexGuard};
+
+    static LOCK: Mutex<()> = Mutex::new(());
+
+    pub fn hold() -> MutexGuard<'static, ()> {
+        LOCK.lock().unwrap_or_else(|p| p.into_inner())
+    }
+}

@@ -15,7 +15,7 @@ use crate::views::sample_views;
 use proptest::prelude::*;
 use tcsl_autodiff::{Graph, ParamStore, VarId};
 use tcsl_data::{Dataset, TimeSeries};
-use tcsl_shapelet::diff_transform::{bind_values, diff_features_batch, BoundBank};
+use tcsl_shapelet::diff_transform::{diff_features_batch_via, BoundBank, DiffPath, WindowCache};
 use tcsl_shapelet::{Measure, ShapeletBank, ShapeletConfig};
 use tcsl_tensor::parallel::parallel_map;
 use tcsl_tensor::rng::seeded;
@@ -74,6 +74,19 @@ fn arb_fan_out_setup() -> impl Strategy<Value = (ShapeletBank, Dataset, f32, u64
         })
 }
 
+/// The per-view fused features of a batch: each view pooled as one
+/// whole-series crop.
+fn per_view(g: &mut Graph, bank: &ShapeletBank, bound: &BoundBank, views: &[Tensor]) -> VarId {
+    diff_features_batch_via(
+        DiffPath::Fused,
+        g,
+        bank,
+        bound,
+        views,
+        &mut WindowCache::new(),
+    )
+}
+
 fn mean_nodes(g: &mut Graph, nodes: &[VarId]) -> VarId {
     let mut acc = nodes[0];
     for &n in &nodes[1..] {
@@ -108,12 +121,14 @@ proptest! {
         //     + weight * mean(align), a single backward sweep.
         let mono = {
             let mut g = Graph::new();
-            let bound = bind_values(&mut g, &snapshot);
+            let bound = BoundBank {
+                group_vars: snapshot.iter().map(|v| g.param(v.clone())).collect(),
+            };
             let mut contrast_terms = Vec::new();
             let mut align_terms = Vec::new();
             for pair in &pairs {
-                let za = diff_features_batch(&mut g, &bank, &bound, &pair.views_a);
-                let zb = diff_features_batch(&mut g, &bank, &bound, &pair.views_b);
+                let za = per_view(&mut g, &bank, &bound, &pair.views_a);
+                let zb = per_view(&mut g, &bank, &bound, &pair.views_b);
                 contrast_terms.push(nt_xent(&mut g, za, zb, temperature));
                 if weight > 0.0 {
                     align_terms.push(multi_scale_alignment(&mut g, &bank, za));
@@ -139,8 +154,8 @@ proptest! {
                 let pair = &pairs[p];
                 let mut g = Graph::new();
                 let bound = BoundBank { group_vars: ps.bind(&mut g) };
-                let za = diff_features_batch(&mut g, &bank, &bound, &pair.views_a);
-                let zb = diff_features_batch(&mut g, &bank, &bound, &pair.views_b);
+                let za = per_view(&mut g, &bank, &bound, &pair.views_a);
+                let zb = per_view(&mut g, &bank, &bound, &pair.views_b);
                 let contrast = nt_xent(&mut g, za, zb, temperature);
                 let loss = if weight > 0.0 {
                     let align = multi_scale_alignment(&mut g, &bank, za);
@@ -198,8 +213,8 @@ proptest! {
         for (p, (pair, got)) in pairs.iter().zip(&fanned).enumerate() {
             let mut g = Graph::new();
             let bound = BoundBank { group_vars: ps.bind(&mut g) };
-            let za = diff_features_batch(&mut g, &bank, &bound, &pair.views_a);
-            let zb = diff_features_batch(&mut g, &bank, &bound, &pair.views_b);
+            let za = per_view(&mut g, &bank, &bound, &pair.views_a);
+            let zb = per_view(&mut g, &bank, &bound, &pair.views_b);
             let contrast = nt_xent(&mut g, za, zb, cfg.temperature);
             let (align, loss) = if weight > 0.0 {
                 let align = multi_scale_alignment(&mut g, &bank, za);

@@ -16,7 +16,8 @@
 //!
 //! 1. **Per series** — every crop of the series, at every grain, is pooled
 //!    by every group from one scan of the series' windows per group
-//!    ([`pool_series_crops`]). Each series fills its own slot.
+//!    ([`pool_series_crops`], given each crop's start and length). Each
+//!    series fills its own slot.
 //! 2. **Per view pair** — each grain's pair builds a private [`Graph`],
 //!    inserts its crops' finished poolings in the order the per-view path
 //!    builds them (all first crops, then all second crops, groups in bank
@@ -26,12 +27,17 @@
 //! takes one optimizer step. View sampling stays on the main-thread RNG and
 //! neither the slots nor the reduction order depend on the schedule, so
 //! training is bit-for-bit identical at any thread count
-//! (`training_is_thread_count_invariant`). A pooling shared across crops
-//! equals the crop's own ([`tcsl_shapelet::fused::pool_crops`]) and the
-//! tape sums the same nodes in the same order, so training is also
-//! bit-identical to building every view on its own
-//! (`two_fan_outs_match_per_view_gradients`). [`DiffPath::Oracle`] keeps
-//! the per-view eager path.
+//! (`training_is_thread_count_invariant`). A crop pooled with the others of
+//! its series gets the bits it gets alone, and the tape sums the same nodes
+//! in the same order, so training is also bit-identical to pooling every
+//! view as its own whole-series crop
+//! ([`diff_features_batch_via`](tcsl_shapelet::diff_transform::diff_features_batch_via),
+//! pinned by `two_fan_outs_match_per_view_gradients`). [`DiffPath::Oracle`]
+//! keeps the per-view eager path.
+//!
+//! Every batch, here and in fine-tuning, runs under one guard against
+//! non-finite training state, which stops the run with its epoch and batch
+//! before the optimizer step spreads a NaN/inf to every parameter.
 
 // Training/experiment path — panics on internal bugs are policy here
 // (DESIGN.md, "Error taxonomy & panic policy"), so the request-path error
@@ -145,17 +151,17 @@ impl BatchPoolings {
             .collect();
         BatchPoolings::Fused(parallel_map(indices.len(), |i| {
             let series = ds.series(indices[i]).values();
-            let crops: Vec<(usize, &Tensor)> = pairs
+            let crops: Vec<(usize, usize)> = pairs
                 .iter()
                 .flat_map(|p| {
                     [
-                        (p.starts_a[i], &p.views_a[i]),
-                        (p.starts_b[i], &p.views_b[i]),
+                        (p.starts_a[i], p.views_a[i].cols()),
+                        (p.starts_b[i], p.views_b[i].cols()),
                     ]
                 })
                 .collect();
-            // One cache spans every crop of the series, so identical crops
-            // (the full-grain pair) share their window state.
+            // One cache spans every crop of the series, so crops at the
+            // same place (the full-grain pair) share their window state.
             let mut cache = WindowCache::new();
             pool_series_crops(bank, &pre, series, &crops, &mut cache)
         }))
@@ -250,6 +256,72 @@ fn pair_forward_backward(
         align: align_val,
         grads: gvec,
     }
+}
+
+/// Runs one training batch — `step` fans it out, reduces it in fixed order
+/// and returns its losses (named by `names`) and mean gradient — and stops
+/// the run if its state is not finite, before the optimizer step would
+/// spread a NaN/inf to every parameter. Two guards, each of which emits a
+/// `non_finite_loss` event and then panics with the epoch and batch:
+///
+/// * a panic inside `step` whose message says "non-finite" (the tape's
+///   check on every node, in builds with debug assertions) is re-raised
+///   with that context; other panics resume untouched;
+/// * after the reduction every loss and the gradient norm must be finite.
+///   A release build has only this guard.
+///
+/// Returns the losses, the gradient and its norm (a fixed-order f64 sum, so
+/// deterministic).
+pub(crate) fn guarded_batch<const N: usize>(
+    epoch: usize,
+    batch: usize,
+    names: [&'static str; N],
+    step: impl FnOnce() -> ([f32; N], Vec<Tensor>),
+) -> ([f32; N], Vec<Tensor>, f64) {
+    let event = || {
+        tcsl_obs::trace::Event::new("non_finite_loss")
+            .u64("epoch", epoch as u64)
+            .u64("batch", batch as u64)
+    };
+    let fail = |event: tcsl_obs::trace::Event, detail: String| -> ! {
+        tcsl_obs::trace::emit(event);
+        panic!(
+            "non-finite training state at epoch {epoch}, batch {batch}: {detail} — check the \
+             input series for NaN/inf values or lower the learning rate"
+        )
+    };
+    let (losses, grads) = match std::panic::catch_unwind(std::panic::AssertUnwindSafe(step)) {
+        Ok(r) => r,
+        Err(payload) => {
+            let detail = payload
+                .downcast_ref::<String>()
+                .map(String::as_str)
+                .or_else(|| payload.downcast_ref::<&str>().copied())
+                .unwrap_or("unknown panic");
+            if !detail.contains("non-finite") {
+                std::panic::resume_unwind(payload);
+            }
+            fail(event().str("detail", detail), detail.to_string())
+        }
+    };
+    let grad_norm = grads
+        .iter()
+        .flat_map(|t| t.as_slice())
+        .map(|&v| f64::from(v) * f64::from(v))
+        .sum::<f64>()
+        .sqrt();
+    if !losses.iter().all(|l| l.is_finite()) || !grad_norm.is_finite() {
+        let (mut ev, mut detail) = (event(), String::new());
+        for (name, loss) in names.into_iter().zip(losses) {
+            ev = ev.f32(name, loss);
+            detail.push_str(&format!("{name}={loss}, "));
+        }
+        fail(
+            ev.f64("grad_norm", grad_norm),
+            format!("{detail}gradient norm={grad_norm}"),
+        )
+    }
+    (losses, grads, grad_norm)
 }
 
 /// Runs CSL pre-training, updating `bank` in place. The bank must already
@@ -355,83 +427,25 @@ pub fn pretrain(bank: &mut ShapeletBank, ds: &Dataset, cfg: &CslConfig) -> Train
             // series' crops, then one independent subgraph per pair.
             // `parallel_map` returns results in item order whatever the
             // schedule, and a worker panic re-raises here without killing
-            // the pool for the next batch.
-            //
-            // A non-finite feature value trips the tape's finiteness check
-            // deep inside a worker, where the panic names the op but not
-            // *when* training derailed. Catch it here to attach the
-            // epoch/batch context (and the structured event) before
-            // re-raising; unrelated panics resume untouched.
-            let forward = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                batch_pair_grads(&ps, bank, cfg, ds, &chunk, &pairs)
-            }));
-            let results = match forward {
-                Ok(r) => r,
-                Err(payload) => {
-                    let detail = payload
-                        .downcast_ref::<String>()
-                        .map(String::as_str)
-                        .or_else(|| payload.downcast_ref::<&str>().copied())
-                        .unwrap_or("unknown panic");
-                    if detail.contains("non-finite") {
-                        tcsl_obs::trace::emit(
-                            tcsl_obs::trace::Event::new("non_finite_loss")
-                                .u64("epoch", epoch as u64)
-                                .u64("batch", batches as u64)
-                                .str("detail", detail),
-                        );
-                        panic!(
-                            "non-finite training state at epoch {epoch}, batch {batches}: \
-                             {detail} — check the input series for NaN/inf values or lower \
-                             the learning rate"
-                        );
+            // the pool for the next batch. Then reduce in fixed pair order
+            // (f32 addition is not associative; a fixed order is what keeps
+            // training deterministic).
+            let ([contrast_mean, align_mean, total], gvec, grad_norm) =
+                guarded_batch(epoch, batches, ["contrast", "align", "total"], || {
+                    let results = batch_pair_grads(&ps, bank, cfg, ds, &chunk, &pairs);
+                    let inv = 1.0 / results.len() as f32;
+                    let mut acc = ps.grad_accumulator();
+                    let (mut csum, mut asum) = (0.0f32, 0.0f32);
+                    for r in &results {
+                        acc.accumulate(&r.grads);
+                        csum += r.contrast;
+                        asum += r.align;
                     }
-                    std::panic::resume_unwind(payload);
-                }
-            };
-
-            // Reduce in fixed pair order (f32 addition is not associative;
-            // a fixed order is what keeps training deterministic).
-            let inv = 1.0 / results.len() as f32;
-            let mut acc = ps.grad_accumulator();
-            let (mut csum, mut asum) = (0.0f32, 0.0f32);
-            for r in &results {
-                acc.accumulate(&r.grads);
-                csum += r.contrast;
-                asum += r.align;
-            }
-            let contrast_mean = csum * inv;
-            let align_mean = asum * inv;
-            let total = contrast_mean + align_mean * cfg.alignment_weight;
-
-            let gvec = acc.into_mean();
-            // Guard *before* the optimizer step: once a NaN/inf loss or
-            // gradient reaches Adam every parameter is poisoned, and the
-            // old failure mode was a contextless downstream panic. The
-            // fixed-order f64 sum keeps the reported norm deterministic.
-            let grad_norm = gvec
-                .iter()
-                .flat_map(|t| t.as_slice())
-                .map(|&v| f64::from(v) * f64::from(v))
-                .sum::<f64>()
-                .sqrt();
-            if !total.is_finite() || !grad_norm.is_finite() {
-                tcsl_obs::trace::emit(
-                    tcsl_obs::trace::Event::new("non_finite_loss")
-                        .u64("epoch", epoch as u64)
-                        .u64("batch", batches as u64)
-                        .f32("contrast", contrast_mean)
-                        .f32("align", align_mean)
-                        .f32("total", total)
-                        .f64("grad_norm", grad_norm),
-                );
-                panic!(
-                    "non-finite training state at epoch {epoch}, batch {batches}: \
-                     loss total={total} (contrast={contrast_mean}, align={align_mean}), \
-                     gradient norm={grad_norm} — check the input series for NaN/inf values \
-                     or lower the learning rate"
-                );
-            }
+                    let contrast_mean = csum * inv;
+                    let align_mean = asum * inv;
+                    let total = contrast_mean + align_mean * cfg.alignment_weight;
+                    ([contrast_mean, align_mean, total], acc.into_mean())
+                });
             grad_norm_sum += grad_norm;
 
             sums.0 += contrast_mean as f64;
@@ -871,6 +885,7 @@ mod tests {
     #[test]
     fn poisoned_input_emits_non_finite_event() {
         let (mut bank, ds, cfg) = poisoned_setup();
+        let _lock = crate::testlock::hold();
         // Memory sink first, then enable: no trace file must appear.
         tcsl_obs::trace::use_memory_sink();
         tcsl_obs::set_enabled(true);

@@ -185,7 +185,7 @@ impl Drop for LocalCounter {
 
 // --- Well-known instruments (always present in reports) -----------------
 
-/// Fused-path `WindowCache` hit (same series value, scale, stride reused).
+/// Fused-path `WindowCache` hit (same crop place, scale, stride reused).
 pub static WINDOW_CACHE_HIT: Counter = Counter::new("window_cache.hit");
 /// Fused-path `WindowCache` miss (a fresh `ScaleWindows` was computed).
 pub static WINDOW_CACHE_MISS: Counter = Counter::new("window_cache.miss");

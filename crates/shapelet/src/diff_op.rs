@@ -7,10 +7,10 @@
 //! window matrix as a constant leaf per scale, per series, per worker
 //! graph, per batch — the exact materialization the fused inference kernel
 //! eliminated. This op instead is built from a **finished pooling** of one
-//! (scale, measure) group over one series or crop — [`pool_measure`], or
-//! [`pool_crops`](crate::fused::pool_crops) when the trainer pools all
-//! crops of a series in one pass — and keeps only what its two passes
-//! read:
+//! (scale, measure) group over one crop of a series — every crop of the
+//! series pooled in one pass by
+//! [`pool_series_crops`](crate::diff_transform::pool_series_crops), the
+//! only code that builds one — and keeps only what its two passes read:
 //!
 //! * **forward** — returns the pooled values, recorded when the op was
 //!   built;
@@ -36,8 +36,7 @@
 use std::fmt;
 use std::sync::Arc;
 
-use crate::bank::GroupPrecomp;
-use crate::fused::{pool_measure, ScaleWindows};
+use crate::fused::ScaleWindows;
 use crate::measure::Measure;
 use tcsl_autodiff::CustomOp;
 use tcsl_tensor::Tensor;
@@ -79,9 +78,9 @@ struct Best {
 impl ShapeletDistanceOp {
     /// Builds the op from the finished pooling `(pooled, args)` of window
     /// state `sw`, whose crop's `sw.cols` steps start at step `offset` of
-    /// the time-major `buffer`. Euclidean applies the oracle path's
-    /// `sqrt_eps` softening to the pooled values (the argmin is unaffected —
-    /// see the module docs).
+    /// the time-major `buffer` of its series. Euclidean applies the oracle
+    /// path's `sqrt_eps` softening to the pooled values (the argmin is
+    /// unaffected — see the module docs).
     pub fn new(
         measure: Measure,
         sw: &ScaleWindows,
@@ -111,13 +110,6 @@ impl ShapeletDistanceOp {
             cols: sw.cols,
             best,
         }
-    }
-
-    /// Pools `pre`'s shapelets over every window of `sw` and builds the op
-    /// on `sw`'s own buffer.
-    pub fn pool(measure: Measure, sw: &ScaleWindows, pre: &GroupPrecomp) -> Self {
-        let pooled = pool_measure(sw, measure, pre);
-        Self::new(measure, sw, Arc::clone(&sw.series), sw.start, pooled)
     }
 
     /// Writes window `w` of the crop channel-major (the parameters' layout)
@@ -232,14 +224,20 @@ impl CustomOp for ShapeletDistanceOp {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bank::GroupPrecomp;
+    use crate::fused::pool_measure;
     use tcsl_autodiff::gradcheck::gradcheck;
     use tcsl_autodiff::Graph;
     use tcsl_tensor::rng::seeded;
 
-    /// The op for `shapelets` pooled over `sw`.
+    /// The op for `shapelets` pooled over every window of `sw`, reading
+    /// its windows from `sw`'s own buffer.
     fn op(measure: Measure, sw: &ScaleWindows, shapelets: &Tensor) -> Arc<ShapeletDistanceOp> {
-        let pre = GroupPrecomp::of(shapelets, sw.d());
-        Arc::new(ShapeletDistanceOp::pool(measure, sw, &pre))
+        let pooled = pool_measure(sw, measure, &GroupPrecomp::of(shapelets, sw.d()));
+        let buffer = Arc::clone(&sw.series);
+        Arc::new(ShapeletDistanceOp::new(
+            measure, sw, buffer, sw.start, pooled,
+        ))
     }
 
     /// Finite-difference check of the analytic backward, one measure and

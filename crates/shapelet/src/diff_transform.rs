@@ -6,18 +6,14 @@
 //! fused streaming kernel as inference computes the pooled values and best
 //! windows, and the node's backward applies an arg-routed analytic rule to
 //! the best windows, so training never materializes the `(N_w × D·len)`
-//! window matrix. There are two ways to get the poolings:
-//!
-//! * **per view** — [`diff_features_cached`] and its batch forms pool each
-//!   series against the values bound in the graph, sharing window state
-//!   through a [`WindowCache`];
-//! * **per series, for many crops** — [`pool_series_crops`] pools every
-//!   crop of one series with one scan of the series' time-major buffer per
-//!   group ([`pool_crops`](crate::fused::pool_crops)), against a
-//!   precomputation of the parameter values the ops will be bound to;
-//!   [`diff_features_pooled`] then inserts one crop's ops as a feature row.
-//!   The trainer runs the first per series on the worker pool and the
-//!   second per view pair. Both ways give the same bits.
+//! window matrix. There is one way to get the poolings:
+//! [`pool_series_crops`] pools every crop of one series with one scan of
+//! the series' time-major buffer per group, against a precomputation of the
+//! parameter values the ops will be bound to, and [`diff_features_pooled`]
+//! inserts one crop's ops as a feature row. Pre-training pools all crops of
+//! a series at once; fine-tuning and [`diff_features_batch_via`] pool each
+//! series as one whole-series crop. A crop pooled with others gets the bits
+//! it gets alone.
 //!
 //! The original eager-graph formulation — windows materialized into a
 //! constant leaf, distances assembled from `matmul`/`relu`/`min_axis` ops —
@@ -62,28 +58,6 @@ pub struct BoundBank {
     pub group_vars: Vec<VarId>,
 }
 
-/// Binds every group's shapelet matrix as a trainable parameter.
-pub fn bind_trainable(g: &mut Graph, bank: &ShapeletBank) -> BoundBank {
-    BoundBank {
-        group_vars: bank
-            .groups()
-            .iter()
-            .map(|grp| g.param(grp.shapelets.clone()))
-            .collect(),
-    }
-}
-
-/// Binds a snapshot of shapelet values (one tensor per group, in bank
-/// order) as trainable parameters. This is the worker-side entry point of
-/// data-parallel training: each worker thread owns its own [`Graph`] and
-/// binds the same shared read-only snapshot (e.g. a `ParamStore`'s current
-/// values), so all workers differentiate against identical parameters.
-pub fn bind_values(g: &mut Graph, values: &[Tensor]) -> BoundBank {
-    BoundBank {
-        group_vars: values.iter().map(|v| g.param(v.clone())).collect(),
-    }
-}
-
 /// Binds every group's shapelet matrix as a frozen constant (freezing mode
 /// with a differentiable head on top).
 pub fn bind_frozen(g: &mut Graph, bank: &ShapeletBank) -> BoundBank {
@@ -98,21 +72,18 @@ pub fn bind_frozen(g: &mut Graph, bank: &ShapeletBank) -> BoundBank {
 
 /// Cache of series-side window state, shared across poolings.
 ///
-/// One [`ScaleWindows`] is an `O(D·T)` pass (time-major padded copy +
-/// prefix-sum norms); every (scale, measure) group of the bank needs one,
-/// and the *same* series value recurs: the groups of one scale share it,
-/// and in contrastive training full-grain crops of a series are
-/// bit-identical. The caller picks the scope, for example a batch of
-/// views. Entries are keyed by `(len, stride)` plus value equality of the
-/// series, so a hit requires the cached buffer to start with exactly the
-/// series' values (the [`ScaleWindows`] is a pure function of those three,
-/// so equal keys mean an equal result).
-///
-/// The cache hands out `Arc`s; a [`ShapeletDistanceOp`] keeps only the
-/// window buffer alive, never the norms.
+/// One [`ScaleWindows`] is an `O(D·T)` prefix-sum pass (plus a zero-padded
+/// copy for a crop shorter than its scale); every (scale, measure) group of
+/// the bank needs one, and the groups of one scale share it, as do equal
+/// crops of one series (the full-grain pair of pre-training). The caller
+/// picks the scope, for example every crop of one series. Entries are keyed
+/// by place: the time-major buffer a crop lies in, the crop's start and
+/// step count, and the scale and stride. No values are compared. Each entry
+/// holds its buffer alive, so a freed buffer's address, reused by another,
+/// can never match.
 #[derive(Default)]
 pub struct WindowCache {
-    entries: Vec<Arc<ScaleWindows>>,
+    entries: Vec<(Arc<Tensor>, usize, Arc<ScaleWindows>)>,
     hits: usize,
     misses: usize,
 }
@@ -123,33 +94,38 @@ impl WindowCache {
         Self::default()
     }
 
-    /// Returns the window state for `(series, len, stride)`, computing and
-    /// retaining it on first use.
-    pub fn get(&mut self, series: &Tensor, len: usize, stride: usize) -> Arc<ScaleWindows> {
-        self.lookup(
-            |sw| holds(sw, series, len, stride),
-            || ScaleWindows::new(series, len, stride),
-        )
-    }
-
-    fn lookup(
+    /// The window state (`ScaleWindows::crop`) of the `steps` steps from
+    /// step `start` of the time-major `buffer` at `(len, stride)`, computed
+    /// and retained on first use.
+    fn crop(
         &mut self,
-        hit: impl Fn(&ScaleWindows) -> bool,
-        make: impl FnOnce() -> ScaleWindows,
+        buffer: &Arc<Tensor>,
+        start: usize,
+        steps: usize,
+        len: usize,
+        stride: usize,
     ) -> Arc<ScaleWindows> {
-        if let Some(sw) = self.entries.iter().find(|sw| hit(sw)) {
+        let hit = self
+            .entries
+            .iter()
+            .find(|(b, s, sw)| {
+                Arc::ptr_eq(b, buffer) && *s == start && sw.cols == steps && sw.matches(len, stride)
+            })
+            .map(|(_, _, sw)| Arc::clone(sw));
+        if let Some(sw) = hit {
             self.hits += 1;
             tcsl_obs::counters::WINDOW_CACHE_HIT.add(1);
-            return Arc::clone(sw);
+            return sw;
         }
         self.misses += 1;
         tcsl_obs::counters::WINDOW_CACHE_MISS.add(1);
-        let sw = Arc::new(make());
-        self.entries.push(Arc::clone(&sw));
+        let sw = Arc::new(ScaleWindows::crop(buffer, start, steps, len, stride));
+        self.entries
+            .push((Arc::clone(buffer), start, Arc::clone(&sw)));
         sw
     }
 
-    /// Cache hits so far (same series value, scale and stride seen before).
+    /// Cache hits so far (same crop place, scale and stride seen before).
     pub fn hits(&self) -> usize {
         self.hits
     }
@@ -160,83 +136,11 @@ impl WindowCache {
     }
 }
 
-/// Whether `sw` is the window state of `series` at `(len, stride)`.
-fn holds(sw: &ScaleWindows, series: &Tensor, len: usize, stride: usize) -> bool {
-    // The buffer zero-extends the series at the tail, so equality over its
-    // first `cols` steps is value equality of the series itself.
-    let d = series.rows();
-    let steps = || sw.series.as_slice()[sw.start * d..(sw.start + sw.cols) * d].chunks_exact(d);
-    sw.matches(len, stride)
-        && sw.cols == series.cols()
-        && sw.d() == d
-        && (0..d).all(|v| steps().map(|s| s[v]).eq(series.row(v).iter().copied()))
-}
-
-/// Builds the feature row `(1, D_repr)` of one series against the bound
-/// bank, sharing window state through `cache`. Pass the same cache across
-/// the series of a batch (and across the views of a contrastive pair) to
-/// reuse padded buffers and prefix-sum norms wherever series values repeat.
-pub fn diff_features_cached(
-    g: &mut Graph,
-    bank: &ShapeletBank,
-    bound: &BoundBank,
-    series: &Tensor,
-    cache: &mut WindowCache,
-) -> VarId {
-    assert_eq!(series.rows(), bank.d, "series/bank variable count mismatch");
-    let mut parts: Vec<VarId> = Vec::with_capacity(bank.groups().len());
-    for (gi, grp) in bank.groups().iter().enumerate() {
-        let sw = cache.get(series, grp.len, grp.stride);
-        let pre = GroupPrecomp::of(g.value(bound.group_vars[gi]), bank.d);
-        let op = Arc::new(ShapeletDistanceOp::pool(grp.measure, &sw, &pre));
-        let pooled = g.custom(op, &[bound.group_vars[gi]]);
-        parts.push(pooled);
-    }
-    g.concat_cols(&parts)
-}
-
-/// Builds the feature row `(1, D_repr)` of one series against the bound
-/// bank. `series` is the raw `(D, T)` value tensor.
-pub fn diff_features(
-    g: &mut Graph,
-    bank: &ShapeletBank,
-    bound: &BoundBank,
-    series: &Tensor,
-) -> VarId {
-    let mut cache = WindowCache::new();
-    diff_features_cached(g, bank, bound, series, &mut cache)
-}
-
-/// Builds the `(B, D_repr)` feature matrix of a batch of series, sharing
-/// window state through `cache`.
-pub fn diff_features_batch_cached(
-    g: &mut Graph,
-    bank: &ShapeletBank,
-    bound: &BoundBank,
-    batch: &[Tensor],
-    cache: &mut WindowCache,
-) -> VarId {
-    assert!(!batch.is_empty(), "empty batch");
-    let rows: Vec<VarId> = batch
-        .iter()
-        .map(|s| diff_features_cached(g, bank, bound, s, cache))
-        .collect();
-    g.concat_rows(&rows)
-}
-
-/// Builds the `(B, D_repr)` feature matrix of a batch of series.
-pub fn diff_features_batch(
-    g: &mut Graph,
-    bank: &ShapeletBank,
-    bound: &BoundBank,
-    batch: &[Tensor],
-) -> VarId {
-    let mut cache = WindowCache::new();
-    diff_features_batch_cached(g, bank, bound, batch, &mut cache)
-}
-
-/// Batch features via the selected [`DiffPath`]. The cache is only
-/// consulted on the fused path (the oracle builds its own leaves).
+/// Batch features via the selected [`DiffPath`]: the `(B, D_repr)` feature
+/// matrix of `batch` against the bound bank. On the fused path each series
+/// is pooled as one whole-series crop ([`pool_series_crops`]) against the
+/// values bound in `g`, packed once per call, with `cache` sharing window
+/// state among the groups of a scale; the oracle builds its own leaves.
 pub fn diff_features_batch_via(
     path: DiffPath,
     g: &mut Graph,
@@ -245,29 +149,42 @@ pub fn diff_features_batch_via(
     batch: &[Tensor],
     cache: &mut WindowCache,
 ) -> VarId {
+    assert!(!batch.is_empty(), "empty batch");
     match path {
-        DiffPath::Fused => diff_features_batch_cached(g, bank, bound, batch, cache),
+        DiffPath::Fused => {
+            let pre: Vec<GroupPrecomp> = bound
+                .group_vars
+                .iter()
+                .map(|&var| GroupPrecomp::of(g.value(var), bank.d))
+                .collect();
+            let rows: Vec<VarId> = batch
+                .iter()
+                .map(|s| {
+                    let ops = pool_series_crops(bank, &pre, s, &[(0, s.cols())], cache);
+                    diff_features_pooled(g, bound, &ops[0])
+                })
+                .collect();
+            g.concat_rows(&rows)
+        }
         DiffPath::Oracle => oracle::diff_features_batch_oracle(g, bank, bound, batch),
     }
 }
 
 /// Every group's finished pooling of every crop of one `(D, T)` series,
 /// as ops ready to insert: `out[c][gi]` is crop `c`'s op for group `gi`.
-/// `crops[c]` is where crop `c` starts in `series` and its values; `pre`
-/// is the precomputation of the parameter values the ops will be bound to
-/// (one per group, in bank order). The series is copied once, time-major;
-/// each group scores its windows once for all its crops
-/// ([`pool_crops`](crate::fused::pool_crops)), and every op reads its best
-/// windows back from that copy. A crop at least one window long takes its
-/// window norms from its own slice of the copy ([`ScaleWindows::view`]); a
-/// shorter one, zero-padded, gets window state of its own. Both come from
-/// `cache`, so equal crops share their state, and no window state outlives
-/// the cache.
+/// `crops[c]` is where crop `c` starts in `series` and its step count;
+/// `pre` is the precomputation of the parameter values the ops will be
+/// bound to (one per group, in bank order). The series is copied once,
+/// time-major; each group scores its windows once for all its crops, and
+/// every op reads its best windows back from that copy. Window state comes
+/// from `cache`, keyed by each crop's place in the copy: read in place, or
+/// a zero-padded copy of its steps for a crop shorter than the scale. Equal
+/// crops share it, and no window state outlives the cache.
 pub fn pool_series_crops(
     bank: &ShapeletBank,
     pre: &[GroupPrecomp],
     series: &Tensor,
-    crops: &[(usize, &Tensor)],
+    crops: &[(usize, usize)],
     cache: &mut WindowCache,
 ) -> Vec<Vec<Arc<ShapeletDistanceOp>>> {
     assert_eq!(series.rows(), bank.d, "series/bank variable count mismatch");
@@ -277,22 +194,9 @@ pub fn pool_series_crops(
         .map(|_| Vec::with_capacity(bank.groups().len()))
         .collect();
     for (grp, pre) in bank.groups().iter().zip(pre) {
-        let (len, stride) = (grp.len, grp.stride);
-        // A crop view is keyed by the buffer's identity and its place in
-        // it, so no values are compared.
         let sws: Vec<Arc<ScaleWindows>> = crops
             .iter()
-            .map(|&(start, values)| match values.cols() {
-                cols if cols >= len => cache.lookup(
-                    |sw| {
-                        Arc::ptr_eq(&sw.series, &buffer)
-                            && (sw.start, sw.cols) == (start, cols)
-                            && sw.matches(len, stride)
-                    },
-                    || ScaleWindows::view(Arc::clone(&buffer), start, cols, len, stride),
-                ),
-                _ => cache.get(values, len, stride),
-            })
+            .map(|&(start, steps)| cache.crop(&buffer, start, steps, grp.len, grp.stride))
             .collect();
         let views: Vec<(usize, &ScaleWindows)> = crops
             .iter()
@@ -363,7 +267,8 @@ pub mod oracle {
     use tcsl_tensor::window::{time_major, unfold, window_sq_norms};
     use tcsl_tensor::Tensor;
 
-    /// Oracle counterpart of [`super::diff_features`].
+    /// The `(1, D_repr)` feature row of one series against the bound bank,
+    /// built from generic tape ops over materialized windows.
     pub fn diff_features_oracle(
         g: &mut Graph,
         bank: &ShapeletBank,
@@ -435,7 +340,8 @@ pub mod oracle {
         g.concat_cols(&parts)
     }
 
-    /// Oracle counterpart of [`super::diff_features_batch`].
+    /// The `(B, D_repr)` feature matrix of a batch, one
+    /// [`diff_features_oracle`] row per series.
     pub fn diff_features_batch_oracle(
         g: &mut Graph,
         bank: &ShapeletBank,
@@ -452,7 +358,7 @@ pub mod oracle {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::oracle::{diff_features_batch_oracle, diff_features_oracle};
     use super::*;
     use crate::config::ShapeletConfig;
@@ -460,6 +366,35 @@ mod tests {
     use crate::transform::transform_series;
     use tcsl_data::TimeSeries;
     use tcsl_tensor::rng::seeded;
+
+    /// Binds every group's shapelet matrix as a trainable parameter.
+    pub(crate) fn bind(g: &mut Graph, bank: &ShapeletBank) -> BoundBank {
+        BoundBank {
+            group_vars: bank
+                .groups()
+                .iter()
+                .map(|grp| g.param(grp.shapelets.clone()))
+                .collect(),
+        }
+    }
+
+    /// The fused `(1, D_repr)` feature row of one series.
+    pub(crate) fn features(
+        g: &mut Graph,
+        bank: &ShapeletBank,
+        bound: &BoundBank,
+        series: &Tensor,
+    ) -> VarId {
+        let batch = std::slice::from_ref(series);
+        diff_features_batch_via(
+            DiffPath::Fused,
+            g,
+            bank,
+            bound,
+            batch,
+            &mut WindowCache::new(),
+        )
+    }
 
     fn bank(d: usize) -> ShapeletBank {
         let cfg = ShapeletConfig {
@@ -481,8 +416,8 @@ mod tests {
         let fast = transform_series(&b, &series).unwrap();
 
         let mut g = Graph::new();
-        let bound = bind_trainable(&mut g, &b);
-        let feats = diff_features(&mut g, &b, &bound, series.values());
+        let bound = bind(&mut g, &b);
+        let feats = features(&mut g, &b, &bound, series.values());
         let slow = g.value(feats);
         assert_eq!(slow.shape().dims(), &[1, b.repr_dim()]);
         for (i, (&f, &s)) in fast.iter().zip(slow.as_slice()).enumerate() {
@@ -496,8 +431,8 @@ mod tests {
         let series = TimeSeries::univariate(vec![0.4, -0.2]); // shorter than both scales
         let fast = transform_series(&b, &series).unwrap();
         let mut g = Graph::new();
-        let bound = bind_trainable(&mut g, &b);
-        let feats = diff_features(&mut g, &b, &bound, series.values());
+        let bound = bind(&mut g, &b);
+        let feats = features(&mut g, &b, &bound, series.values());
         for (&f, &s) in fast.iter().zip(g.value(feats).as_slice()) {
             assert!((f - s).abs() < 1e-4);
         }
@@ -513,8 +448,8 @@ mod tests {
             let series = Tensor::randn([d, 22], &mut rng);
 
             let mut g = Graph::new();
-            let bound = bind_trainable(&mut g, &b);
-            let fused = diff_features(&mut g, &b, &bound, &series);
+            let bound = bind(&mut g, &b);
+            let fused = features(&mut g, &b, &bound, &series);
             let oracle = diff_features_oracle(&mut g, &b, &bound, &series);
             let (fv, ov) = (g.value(fused).clone(), g.value(oracle).clone());
             assert_eq!(fv.shape().dims(), ov.shape().dims());
@@ -525,26 +460,45 @@ mod tests {
     }
 
     #[test]
-    fn window_cache_reuses_state_across_identical_series() {
+    fn window_cache_is_keyed_by_place() {
+        // Bank has 2 scales × 3 measures. Crops: the whole series, a
+        // 20-step crop, the same crop again, a crop of the same length at
+        // another place, and a 4-step crop (zero-padded at scale 6).
         let b = bank(1);
         let mut rng = seeded(15);
         let series = Tensor::randn([1, 30], &mut rng);
-        let other = Tensor::randn([1, 30], &mut rng);
-        let mut g = Graph::new();
-        let bound = bind_trainable(&mut g, &b);
+        let pre: Vec<GroupPrecomp> = b
+            .groups()
+            .iter()
+            .map(|grp| GroupPrecomp::of(&grp.shapelets, b.d))
+            .collect();
+        let crops = [(0, 30), (5, 20), (5, 20), (10, 20), (26, 4)];
         let mut cache = WindowCache::new();
-        // Bank has 2 scales × 3 measures: 6 lookups per series, 2 distinct
-        // (len, stride) keys per distinct series value.
-        diff_features_cached(&mut g, &b, &bound, &series, &mut cache);
-        assert_eq!(cache.misses(), 2);
-        assert_eq!(cache.hits(), 4);
-        // The same series value again: all lookups hit.
-        diff_features_cached(&mut g, &b, &bound, &series, &mut cache);
-        assert_eq!(cache.misses(), 2);
-        assert_eq!(cache.hits(), 10);
-        // A different series value misses.
-        diff_features_cached(&mut g, &b, &bound, &other, &mut cache);
-        assert_eq!(cache.misses(), 4);
+        let ops = pool_series_crops(&b, &pre, &series, &crops, &mut cache);
+        assert_eq!(ops.len(), crops.len());
+        // Per scale, four distinct places miss once each; every other
+        // lookup of the 2 × 3 × 5 hits.
+        assert_eq!(cache.misses(), 8);
+        assert_eq!(cache.hits(), 22);
+        // A second series with the same values is another buffer: no
+        // value is compared, so every place misses again.
+        pool_series_crops(&b, &pre, &series.clone(), &crops[..1], &mut cache);
+        assert_eq!(cache.misses(), 10);
+        assert_eq!(cache.hits(), 26);
+        // A padded crop's ops read the right steps: its features are the
+        // ones its own values give, pooled alone.
+        let alone = pool_series_crops(
+            &b,
+            &pre,
+            &tcsl_tensor::window::window_at(&series, 26, 4),
+            &[(0, 4)],
+            &mut WindowCache::new(),
+        );
+        let mut g = Graph::new();
+        let bound = bind(&mut g, &b);
+        let got = diff_features_pooled(&mut g, &bound, &ops[4]);
+        let want = diff_features_pooled(&mut g, &bound, &alone[0]);
+        assert_eq!(g.value(got), g.value(want));
     }
 
     #[test]
@@ -556,7 +510,7 @@ mod tests {
             Tensor::randn([1, 18], &mut rng),
         ];
         let mut g = Graph::new();
-        let bound = bind_trainable(&mut g, &b);
+        let bound = bind(&mut g, &b);
         let mut cache = WindowCache::new();
         let fused =
             diff_features_batch_via(DiffPath::Fused, &mut g, &b, &bound, &batch, &mut cache);
@@ -575,8 +529,8 @@ mod tests {
         let mut rng = seeded(5);
         let series = TimeSeries::new(Tensor::randn([1, 24], &mut rng));
         let mut g = Graph::new();
-        let bound = bind_trainable(&mut g, &b);
-        let feats = diff_features(&mut g, &b, &bound, series.values());
+        let bound = bind(&mut g, &b);
+        let feats = features(&mut g, &b, &bound, series.values());
         let sq = g.square(feats);
         let loss = g.mean_all(sq);
         let grads = g.backward(loss);
@@ -595,7 +549,7 @@ mod tests {
         let series = TimeSeries::new(Tensor::randn([1, 24], &mut rng));
         let mut g = Graph::new();
         let bound = bind_frozen(&mut g, &b);
-        let feats = diff_features(&mut g, &b, &bound, series.values());
+        let feats = features(&mut g, &b, &bound, series.values());
         let loss = g.mean_all(feats);
         let grads = g.backward(loss);
         assert!(grads.get(bound.group_vars[0]).is_none());
@@ -621,7 +575,7 @@ mod tests {
             let bound = BoundBank {
                 group_vars: xs.iter().map(|x| g.param(x.clone())).collect(),
             };
-            let feats = diff_features(g, &b, &bound, &series);
+            let feats = features(g, &b, &bound, &series);
             let sq = g.square(feats);
             let loss = g.mean_all(sq);
             (bound.group_vars.clone(), loss)
@@ -647,11 +601,12 @@ mod tests {
         ];
         let grads_of = |use_oracle: bool| {
             let mut g = Graph::new();
-            let bound = bind_trainable(&mut g, &b);
+            let bound = bind(&mut g, &b);
             let feats = if use_oracle {
                 diff_features_batch_oracle(&mut g, &b, &bound, &batch)
             } else {
-                diff_features_batch(&mut g, &b, &bound, &batch)
+                let mut cache = WindowCache::new();
+                diff_features_batch_via(DiffPath::Fused, &mut g, &b, &bound, &batch, &mut cache)
             };
             let sq = g.square(feats);
             let loss = g.mean_all(sq);
@@ -681,39 +636,19 @@ mod tests {
         let s1 = Tensor::randn([1, 15], &mut rng);
         let s2 = Tensor::randn([1, 18], &mut rng);
         let mut g = Graph::new();
-        let bound = bind_trainable(&mut g, &b);
-        let feats = diff_features_batch(&mut g, &b, &bound, &[s1.clone(), s2]);
+        let bound = bind(&mut g, &b);
+        let mut cache = WindowCache::new();
+        let batch = [s1.clone(), s2];
+        let feats =
+            diff_features_batch_via(DiffPath::Fused, &mut g, &b, &bound, &batch, &mut cache);
         assert_eq!(g.value(feats).rows(), 2);
         // Row 0 equals the single-series features of s1.
         let mut g2 = Graph::new();
-        let bound2 = bind_trainable(&mut g2, &b);
-        let f1 = diff_features(&mut g2, &b, &bound2, &s1);
+        let bound2 = bind(&mut g2, &b);
+        let f1 = features(&mut g2, &b, &bound2, &s1);
         for (a, bv) in g.value(feats).row(0).iter().zip(g2.value(f1).as_slice()) {
             assert!((a - bv).abs() < 1e-6);
         }
-    }
-
-    #[test]
-    fn bind_values_matches_bind_trainable() {
-        let b = bank(1);
-        let mut rng = seeded(10);
-        let series = TimeSeries::new(Tensor::randn([1, 20], &mut rng));
-        let snapshot: Vec<Tensor> = b.groups().iter().map(|g| g.shapelets.clone()).collect();
-
-        let mut g1 = Graph::new();
-        let bound1 = bind_trainable(&mut g1, &b);
-        let f1 = diff_features(&mut g1, &b, &bound1, series.values());
-
-        let mut g2 = Graph::new();
-        let bound2 = bind_values(&mut g2, &snapshot);
-        let f2 = diff_features(&mut g2, &b, &bound2, series.values());
-
-        assert_eq!(g1.value(f1), g2.value(f2));
-        // Snapshot-bound parameters still receive gradients.
-        let sq = g2.square(f2);
-        let loss = g2.mean_all(sq);
-        let grads = g2.backward(loss);
-        assert!(grads.get(bound2.group_vars[0]).is_some());
     }
 
     #[test]

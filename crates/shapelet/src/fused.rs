@@ -23,10 +23,10 @@
 //!   [`TapElem`], so an f16 bank's binary16 groups run the same blocking
 //!   and argmin tie-breaking as f32 groups; only the dot kernel's tap load
 //!   differs.
-//! * **One pass for many crops** — [`pool_crops`] pools several crops of
-//!   one series (training's views) from one scan of the series' windows:
-//!   each window is scored once per tap block and handed to every crop
-//!   that contains it, which scores it against its own norms.
+//! * **One pass for many crops** — training pools every crop of one series
+//!   ([`pool_series_crops`]) from one scan of the series' windows: each
+//!   window is scored once per tap block and handed to every crop that
+//!   contains it, which scores it against its own norms.
 //!
 //! There is one engine. Every window is one dot summed in one order,
 //! whatever the size of the series, and a kernel entry never depends on
@@ -38,6 +38,8 @@
 //! to `N_w × D·len`. Pooling and localization funnel scoring through
 //! [`Measure::finish`]'s arithmetic, and agree with the unfold oracle to
 //! f32 round-off (property-tested in `crate::proptests`).
+//!
+//! [`pool_series_crops`]: crate::diff_transform::pool_series_crops
 
 use crate::bank::{GroupPrecomp, GroupTaps, ShapeletGroup, TapRows};
 use crate::measure::Measure;
@@ -60,12 +62,12 @@ pub struct ScaleWindows {
     /// Step count `T` of the series (or crop) before padding.
     pub cols: usize,
     /// The time-major `(steps, D)` buffer windows are read from, step `t`
-    /// of variable `v` at `t·D + v`: this state's own copy of the series,
-    /// zero-padded to at least `len` steps, or the whole series a crop view
-    /// lies in ([`Self::view`]). Shared, so a training op can read its best
-    /// windows back without a copy.
+    /// of variable `v` at `t·D + v`: this state's own copy of the series or
+    /// crop, zero-padded to at least `len` steps, or the whole series a
+    /// training crop at least one window long lies in.
     pub series: Arc<Tensor>,
-    /// Step of `series` at which window 0 starts (0 unless a crop view).
+    /// Step of `series` at which window 0 starts (0 unless a crop read in
+    /// place).
     pub start: usize,
     /// `‖w‖²` per window, from the O(D·T) prefix-sum pass.
     pub sq_norms: Vec<f32>,
@@ -83,12 +85,32 @@ impl ScaleWindows {
     }
 
     /// The state of the `cols` steps from step `start` of a time-major
-    /// `series` ([`time_major`]), read in place. For a crop at least `len`
-    /// steps long these are the norms of [`Self::new`] on the crop's values,
-    /// bit for bit and without a copy, as they sum the same values in the
-    /// same order. A shorter crop's windows run past it, so it needs a
-    /// zero-padded copy of its own.
-    pub fn view(
+    /// `series` ([`time_major`]), the same as [`Self::new`] builds from a
+    /// copy of those steps, bit for bit. A crop at least `len` steps long is
+    /// read in place: its norms sum the same values in the same order as
+    /// the copy's would. A shorter crop's windows run past it, so it gets a
+    /// zero-padded copy of its steps.
+    pub(crate) fn crop(
+        series: &Arc<Tensor>,
+        start: usize,
+        cols: usize,
+        len: usize,
+        stride: usize,
+    ) -> ScaleWindows {
+        if cols >= len {
+            return ScaleWindows::view(Arc::clone(series), start, cols, len, stride);
+        }
+        let d = series.cols();
+        let mut padded = Tensor::zeros([len, d]);
+        padded.as_mut_slice()[..cols * d]
+            .copy_from_slice(&series.as_slice()[start * d..(start + cols) * d]);
+        ScaleWindows::view(Arc::new(padded), 0, cols, len, stride)
+    }
+
+    /// The state of the `cols` steps from step `start` of a time-major
+    /// `series` that holds at least `start + max(cols, len)` steps, read in
+    /// place.
+    fn view(
         series: Arc<Tensor>,
         start: usize,
         cols: usize,
@@ -135,20 +157,9 @@ pub const PAIR_BLOCK_MIN_ROW: usize = 3072;
 /// Pools one group over a series: the per-shapelet best score plus the
 /// best window index, computed without materializing the window matrix.
 /// Equivalent to `score_matrix` + `pool` (the property-tested contract).
-pub fn pool_group(
-    sw: &ScaleWindows,
-    g: &ShapeletGroup,
-    pre: &GroupPrecomp,
-) -> (Vec<f32>, Vec<usize>) {
-    debug_assert!(sw.matches(g.len, g.stride));
-    debug_assert_eq!(pre.sq_norms.len(), g.k());
-    pool_measure(sw, g.measure, pre)
-}
-
-/// [`pool_group`] addressed by measure alone: the shapelet side is fully
-/// described by the precomputation (tap rows + norms), so callers that hold
-/// shapelet values outside a [`ShapeletGroup`] — the training-path custom
-/// op differentiates graph-bound parameter tensors — pool through here.
+/// The shapelet side is the precomputation (tap rows + norms) and the
+/// measure alone, so one call pools a bank's group or graph-bound parameter
+/// values.
 pub fn pool_measure(
     sw: &ScaleWindows,
     measure: Measure,
@@ -183,24 +194,10 @@ pub fn pool_measure(
     (pooled, args)
 }
 
-/// Pools one group over several crops of a `(D, T)` `series`: `crops[c]`
-/// is where crop `c` starts in the series and the crop's window state, all
-/// at the group's scale and stride. Returns each crop's [`pool_measure`]
-/// result, bit for bit. Makes one time-major copy of the series; a caller
-/// that already holds one (the trainer's [`pool_series_crops`]) scans it
-/// in place.
-///
-/// [`pool_series_crops`]: crate::diff_transform::pool_series_crops
-pub fn pool_crops(
-    series: &Tensor,
-    crops: &[(usize, &ScaleWindows)],
-    measure: Measure,
-    pre: &GroupPrecomp,
-) -> Vec<(Vec<f32>, Vec<usize>)> {
-    pool_crops_in(&time_major(series, 0), crops, measure, pre)
-}
-
-/// [`pool_crops`] over the time-major `(T, D)` buffer of the series.
+/// Pools one group over several crops of a series held time-major `(T, D)`
+/// in `series`: `crops[c]` is where crop `c` starts in the series and the
+/// crop's window state, all at the group's scale and stride. Returns each
+/// crop's [`pool_measure`] result, bit for bit.
 ///
 /// Every contiguous run of the union of the crops' window ranges is scanned
 /// once through the block loop, in place in the series. Each window's dot
@@ -295,7 +292,7 @@ pub(crate) fn pool_crops_in(
 /// localization (which needs every window's score, not just the pooled
 /// one).
 ///
-/// One row through the same block loop and kernels as [`pool_group`]: a
+/// One row through the same block loop and kernels as [`pool_measure`]: a
 /// kernel entry does not depend on the rows sharing its block, so the
 /// score of shapelet `k` here is bit-identical to the one pooling saw, and
 /// localization explains the feature value exactly at every tap width.
@@ -348,8 +345,7 @@ fn score(
 
 /// `n` windows of `len` steps, `stride` steps apart from step `offset` on,
 /// read in place from a time-major `(steps, D)` buffer: a window state's
-/// own series or crop view, or a run of a crop-sharing series
-/// ([`pool_crops`]).
+/// own buffer, or a run of a series whose crops share one scan.
 struct Windows<'a> {
     series: &'a Tensor,
     offset: usize,

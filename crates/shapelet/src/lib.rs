@@ -29,8 +29,11 @@
 //! * [`diff_transform`] — the autodiff path used during contrastive
 //!   learning and fine-tuning. It runs the *same* fused streaming kernel as
 //!   inference, wrapped in a custom tape op ([`diff_op::ShapeletDistanceOp`])
-//!   with an arg-routed analytic backward; the original eager-graph
-//!   formulation survives as [`diff_transform::oracle`] for parity tests.
+//!   with an arg-routed analytic backward. Every such op comes from one
+//!   function, [`diff_transform::pool_series_crops`], which pools every
+//!   crop of a series (a whole series is one crop) in one scan per group;
+//!   the original eager-graph formulation survives as
+//!   [`diff_transform::oracle`] for parity tests.
 
 pub mod bank;
 pub mod config;

@@ -175,7 +175,7 @@ mod tests {
         let pre = b.precomputed();
         for (gi, g) in b.groups().iter().enumerate() {
             let sw = ScaleWindows::new(s.values(), g.len, g.stride);
-            let (pooled, args) = crate::fused::pool_group(&sw, g, &pre[gi]);
+            let (pooled, args) = crate::fused::pool_measure(&sw, g.measure, &pre[gi]);
             for k in 0..g.k() {
                 let m = best_match(&b, gi, k, &s);
                 assert_eq!(m.start, args[k] * g.stride, "group {gi} shapelet {k}");

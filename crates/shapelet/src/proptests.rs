@@ -4,8 +4,8 @@
 use crate::bank::ShapeletBank;
 use crate::config::ShapeletConfig;
 use crate::diff_transform::oracle::diff_features_oracle;
-use crate::diff_transform::{bind_trainable, diff_features};
-use crate::fused::{pool_crops, pool_measure, ScaleWindows};
+use crate::diff_transform::tests::{bind, features};
+use crate::fused::{pool_crops_in, pool_measure, ScaleWindows};
 use crate::measure::Measure;
 use crate::transform::{transform_dataset, transform_series, transform_series_oracle, windows_for};
 use proptest::prelude::*;
@@ -116,9 +116,11 @@ proptest! {
         (bank, series) in arb_subset_setup(),
         draws in collection::vec((0usize..5, 0usize..10_000, 0usize..10_000), 1..7)
     ) {
-        // Training pools every crop of a series from one scan of the
-        // series' windows; each crop must get exactly the pooled bits and
-        // best windows it gets pooled alone over its own window state.
+        // Training takes each crop's window state from its place in the
+        // series' time-major buffer and pools every crop from one scan of
+        // the series' windows; each crop must get exactly the window norms,
+        // pooled bits and best windows it gets pooled alone over its own
+        // copy.
         let t = series.len();
         let short_len = bank.groups().iter().map(|g| g.len).min().unwrap();
         let crops = crops_of(t, short_len, &draws);
@@ -127,16 +129,22 @@ proptest! {
             .map(|&(start, len)| tcsl_tensor::window::window_at(series.values(), start, len))
             .collect();
         let pre = bank.precomputed();
+        let buffer = std::sync::Arc::new(tcsl_tensor::window::time_major(series.values(), 0));
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         for (gi, g) in bank.groups().iter().enumerate() {
-            let sws: Vec<ScaleWindows> =
-                values.iter().map(|v| ScaleWindows::new(v, g.len, g.stride)).collect();
+            let placed: Vec<ScaleWindows> = crops
+                .iter()
+                .map(|&(start, len)| ScaleWindows::crop(&buffer, start, len, g.len, g.stride))
+                .collect();
             let views: Vec<(usize, &ScaleWindows)> =
-                crops.iter().zip(&sws).map(|(&(start, _), sw)| (start, sw)).collect();
-            let shared = pool_crops(series.values(), &views, g.measure, &pre[gi]);
+                crops.iter().zip(&placed).map(|(&(start, _), sw)| (start, sw)).collect();
+            let shared = pool_crops_in(&buffer, &views, g.measure, &pre[gi]);
             prop_assert_eq!(shared.len(), crops.len());
-            for (c, ((pooled, args), sw)) in shared.iter().zip(&sws).enumerate() {
-                let (want, want_args) = pool_measure(sw, g.measure, &pre[gi]);
-                let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            for (c, ((pooled, args), v)) in shared.iter().zip(&values).enumerate() {
+                let alone = ScaleWindows::new(v, g.len, g.stride);
+                prop_assert_eq!(bits(&placed[c].sq_norms), bits(&alone.sq_norms), "crop {:?}", crops[c]);
+                prop_assert_eq!(bits(&placed[c].inv_norms), bits(&alone.inv_norms), "crop {:?}", crops[c]);
+                let (want, want_args) = pool_measure(&alone, g.measure, &pre[gi]);
                 prop_assert_eq!(bits(pooled), bits(&want), "group {} crop {:?}", gi, crops[c]);
                 prop_assert_eq!(args, &want_args, "group {} crop {:?} best windows", gi, crops[c]);
             }
@@ -173,8 +181,8 @@ proptest! {
     fn fast_and_diff_paths_agree((bank, series) in arb_setup()) {
         let fast = transform_series(&bank, &series).unwrap();
         let mut g = Graph::new();
-        let bound = bind_trainable(&mut g, &bank);
-        let feats = diff_features(&mut g, &bank, &bound, series.values());
+        let bound = bind(&mut g, &bank);
+        let feats = features(&mut g, &bank, &bound, series.values());
         let slow = g.value(feats);
         for (i, (&f, &s)) in fast.iter().zip(slow.as_slice()).enumerate() {
             prop_assert!((f - s).abs() < 1e-3, "feature {}: {} vs {}", i, f, s);
@@ -249,11 +257,11 @@ proptest! {
         // shape, stride and measure — same loss, same parameters.
         let grads_of = |use_oracle: bool| {
             let mut g = Graph::new();
-            let bound = bind_trainable(&mut g, &bank);
+            let bound = bind(&mut g, &bank);
             let feats = if use_oracle {
                 diff_features_oracle(&mut g, &bank, &bound, series.values())
             } else {
-                diff_features(&mut g, &bank, &bound, series.values())
+                features(&mut g, &bank, &bound, series.values())
             };
             let sq = g.square(feats);
             let loss = g.mean_all(sq);
@@ -393,7 +401,7 @@ proptest! {
         let pre = bank.precomputed();
         for (gi, g) in bank.groups().iter().enumerate() {
             let sw = ScaleWindows::new(series.values(), g.len, g.stride);
-            let (pooled, args) = crate::fused::pool_group(&sw, g, &pre[gi]);
+            let (pooled, args) = pool_measure(&sw, g.measure, &pre[gi]);
             for k in 0..g.k() {
                 let m = crate::matching::best_match(&bank, gi, k, &series);
                 prop_assert_eq!(m.start, args[k] * g.stride);

@@ -72,7 +72,7 @@ mod tests {
     use super::*;
     use crate::config::ShapeletConfig;
     use crate::fused::PAIR_BLOCK_MIN_ROW;
-    use crate::fused::{pool_group, pool_measure, shapelet_scores, ScaleWindows};
+    use crate::fused::{pool_measure, shapelet_scores, ScaleWindows};
     use crate::transform::transform_series;
     use crate::{Measure, ShapeletBank};
     use tcsl_data::TimeSeries;
@@ -149,8 +149,8 @@ mod tests {
             for (gi, g) in q.groups().iter().enumerate() {
                 let sw = ScaleWindows::new(&series, g.len, g.stride);
                 let (qp, dp) = (&q.precomputed()[gi], &deq.precomputed()[gi]);
-                let (got, got_args) = pool_group(&sw, g, qp);
-                let (want, want_args) = pool_group(&sw, g, dp);
+                let (got, got_args) = pool_measure(&sw, g.measure, qp);
+                let (want, want_args) = pool_measure(&sw, g.measure, dp);
                 assert_eq!(got_args, want_args, "len={len} {:?}", g.measure);
                 for kk in 0..g.k() {
                     let (gs, ws) = (
@@ -186,8 +186,8 @@ mod tests {
         let series = Tensor::randn([1, len + 97], &mut seeded(35));
         for (gi, g) in q.groups().iter().enumerate() {
             let sw = ScaleWindows::new(&series, g.len, g.stride);
-            let (want, _) = pool_group(&sw, g, &deq.precomputed()[gi]);
-            let (pooled, args) = pool_group(&sw, g, &q.precomputed()[gi]);
+            let (want, _) = pool_measure(&sw, g.measure, &deq.precomputed()[gi]);
+            let (pooled, args) = pool_measure(&sw, g.measure, &q.precomputed()[gi]);
             for k in 0..g.k() {
                 assert!(
                     (pooled[k] - want[k]).abs() < 1e-3 * (1.0 + want[k].abs()),
@@ -215,7 +215,7 @@ mod tests {
         let series = Tensor::randn([2, 150], &mut seeded(34));
         for (gi, g) in q.groups().iter().enumerate() {
             let sw = ScaleWindows::new(&series, g.len, g.stride);
-            let (pooled, args) = pool_group(&sw, g, &q.precomputed()[gi]);
+            let (pooled, args) = pool_measure(&sw, g.measure, &q.precomputed()[gi]);
             for k in 0..g.k() {
                 let col = shapelet_scores(&sw, g, &q.precomputed()[gi], k);
                 assert_eq!(col.len(), sw.n);

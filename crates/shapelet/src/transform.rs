@@ -14,7 +14,7 @@
 //! naive baseline of the benchmark trajectory).
 
 use crate::bank::ShapeletBank;
-use crate::fused::{pool_group, ScaleWindows};
+use crate::fused::{pool_measure, ScaleWindows};
 use tcsl_data::{Dataset, TimeSeries};
 use tcsl_error::{TcslError, TcslResult};
 use tcsl_tensor::parallel::parallel_map;
@@ -101,7 +101,7 @@ pub fn transform_series_unchecked(bank: &ShapeletBank, series: &TimeSeries) -> V
         }
         #[allow(clippy::disallowed_methods)] // populated on the previous line
         let sw = cached.as_ref().expect("just populated");
-        let (pooled, _args) = pool_group(sw, g, &pre[gi]);
+        let (pooled, _args) = pool_measure(sw, g.measure, &pre[gi]);
         features.extend_from_slice(&pooled);
     }
     features
